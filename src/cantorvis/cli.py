@@ -447,6 +447,12 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_error(args, code: str, message: str) -> int:
+    report = {"command": args.command, "error": {"code": code, "message": message}}
+    _emit(json.dumps(report, indent=2) + "\n", getattr(args, "out", None))
+    return EXIT_ERROR
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -460,10 +466,13 @@ def main(argv=None) -> int:
     try:
         code, result, payload, kind = handler(args)
     except CantorVisError as exc:
-        report = {"command": args.command,
-                  "error": {"code": exc.code, "message": str(exc)}}
-        _emit(json.dumps(report, indent=2) + "\n", getattr(args, "out", None))
-        return EXIT_ERROR
+        return _emit_error(args, exc.code, str(exc))
+    except Exception as exc:
+        # a defect, not a domain error: keep the JSON contract, and the
+        # traceback for whoever fixes it
+        import traceback
+        traceback.print_exc()
+        return _emit_error(args, "internal", f"{type(exc).__name__}: {exc}")
     report = {"command": args.command, "result": result}
     fmt = getattr(args, "format", "json")
     if fmt != "json" and payload is not None:

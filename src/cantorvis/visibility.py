@@ -19,12 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cantor import CantorParams, endpoint_rank, ensure_depth, refine_to_depth
+from .cantor import CantorParams, endpoint_rank, ensure_depth
 from .errors import (InsufficientScales, LengthMismatch, NegativeSlope,
                      NonPositiveDenominator, OutOfRange)
 from .exact import (Interval, IntervalSet, RationalLike, affine_image,
-                    as_rational, format_rational, interval_quotient,
-                    normalize_union)
+                    as_rational, format_rational, normalize_union)
 
 
 def _validated_lambda(lam: RationalLike) -> Fraction:
@@ -140,13 +139,32 @@ def key2_check(lam: RationalLike, i: Interval, j: Interval) -> bool:
     return normalize_union(pieces.parts) == IntervalSet([pieces.full])
 
 
+def _window_lattice(lam: Fraction, n: int) -> tuple[int, list[int], int]:
+    """Rank-n window pieces on the integer lattice of denominator D = q^n.
+
+    With lam = p/q, every rank-n piece inside [1-lam, 1] is [L/D, (L+w)/D]
+    for an integer L and the common width w = p^n, so refinement is integer
+    arithmetic. Returns (D, lows, w) with lows in increasing order, the
+    left-to-right order of `window_pieces`.
+    """
+    p, q = lam.numerator, lam.denominator
+    lows = [(q - p) * q ** (n - 1)]
+    width = p * q ** (n - 1)
+    for _ in range(n - 1):
+        child = width * p // q  # exact: width is p^k * q^(n-k) with k < n
+        shift = width - child
+        lows = [x for lo in lows for x in (lo, lo + shift)]
+        width = child
+    return q ** n, lows, width
+
+
 def window_pieces(lam: RationalLike, n: int) -> list[Interval]:
     """Rank-n basic intervals inside the window [1-lam, 1] (2^(n-1) pieces)."""
     lam = _validated_lambda(lam)
     if n < 1:
         raise OutOfRange(f"rank must be >= 1, got {n}")
-    params = CantorParams(lam)
-    return refine_to_depth(params, Interval(1 - lam, 1), n - 1)
+    d, lows, w = _window_lattice(lam, n)
+    return [Interval(Fraction(lo, d), Fraction(lo + w, d)) for lo in lows]
 
 
 def key2_scan(lam: RationalLike, n_max: int) -> Optional[tuple[int, Interval, Interval]]:
@@ -170,6 +188,37 @@ def key2_scan(lam: RationalLike, n_max: int) -> Optional[tuple[int, Interval, In
 # quotient core cover and the scaled ratio-set structure
 # ---------------------------------------------------------------------------
 
+def _ratio_keys(d: int, nums: Sequence[int], dens: Sequence[int]) -> list[int]:
+    """Integer order keys floor(d^2 * x / y) of the ratios x/y.
+
+    The key of nums[i] / dens[j] is at index j * len(nums) + i. Keys order
+    the ratios exactly when every y is a positive integer at most d (see
+    `quotient_core_cover`).
+    """
+    scale = d * d
+    scaled = [scale * x for x in nums]
+    return [sx // y for y in dens for sx in scaled]
+
+
+def _merge_closed(lo_keys: Sequence[int], hi_keys: Sequence[int]) -> list[tuple[int, int]]:
+    """Merge the closed intervals [lo_keys[f], hi_keys[f]] into disjoint parts.
+
+    One sort by lower key and one linear pass; touching intervals merge, as
+    in `IntervalSet`. Each part is returned as (f, g): the index giving its
+    lower end and the index giving its upper end.
+    """
+    merged: list[tuple[int, int]] = []
+    top = None
+    for f in sorted(range(len(lo_keys)), key=lo_keys.__getitem__):
+        if top is None or lo_keys[f] > top:
+            merged.append((f, f))
+            top = hi_keys[f]
+        elif hi_keys[f] > top:
+            merged[-1] = (merged[-1][0], f)
+            top = hi_keys[f]
+    return merged
+
+
 def quotient_core_cover(lam: RationalLike, n: int,
                         budget: Optional[int] = None) -> IntervalSet:
     """Certified outer cover of the window quotient at rank n.
@@ -178,14 +227,31 @@ def quotient_core_cover(lam: RationalLike, n: int,
     (4^(n-1) pairs) and normalizes the union. The result contains the true
     quotient set of the window at every rank and is nonincreasing in n; for
     lam >= 1/3 it is exactly [1-lam, 1/(1-lam)] at every rank.
+
+    The pairs are formed on the integer lattice of `_window_lattice`: with
+    D = q^n the pieces are [L_i/D, H_i/D], so pair (i, j) has the quotient
+    [L_i/H_j, H_i/L_j]. Its denominators are at most D, and L_j >=
+    (1-lam)*D > 0. Sorting and merging use the integer key floor(K*x/y)
+    with K = D^2 (`_ratio_keys`). The key is exact: two distinct fractions
+    with denominators at most D differ by at least 1/D^2, so their keys keep
+    their order, and equal fractions get equal keys, so touching parts still
+    merge. One sort and one linear merge follow, and a Fraction is built
+    only for the endpoints of the merged parts.
     """
     lam = _validated_lambda(lam)
     if n < 1:
         raise OutOfRange(f"depth must be >= 1, got {n}")
     ensure_depth(n, budget, what=f"pair quotients (4^{n - 1} pairs)")
-    pieces = window_pieces(lam, n)
-    quots = [interval_quotient(p, q) for p in pieces for q in pieces]
-    return normalize_union(quots)
+    d, lows, w = _window_lattice(lam, n)
+    highs = [lo + w for lo in lows]
+    size = len(lows)
+    parts = []
+    for f, g in _merge_closed(_ratio_keys(d, lows, highs), _ratio_keys(d, highs, lows)):
+        j, i = divmod(f, size)
+        lo = Fraction(lows[i], highs[j])
+        j, i = divmod(g, size)
+        parts.append(Interval(lo, Fraction(highs[i], lows[j])))
+    return IntervalSet(parts)
 
 
 @dataclass(frozen=True)
@@ -301,12 +367,10 @@ def _endpoint_ratio_witness(lam: Fraction, target: Fraction,
     """Search rank-n window endpoints for an exact pair with quotient `target`."""
     params = CantorParams(lam)
     window = Interval(1 - lam, 1)
-    endpoints: set[Fraction] = set()
-    for piece in window_pieces(lam, n):
-        endpoints.add(piece.lo)
-        endpoints.add(piece.hi)
+    d, lows, w = _window_lattice(lam, n)
     margin = n + 16  # products may be endpoints of somewhat deeper rank
-    for e in sorted(endpoints):
+    for num in sorted({*lows, *(lo + w for lo in lows)}):
+        e = Fraction(num, d)
         x = target * e
         if window.contains(x) and endpoint_rank(params, x, margin) is not None:
             return x, e
@@ -395,6 +459,12 @@ def visible_set(lam: RationalLike, k_window: int, n: int = 6) -> VisibleSet:
     gap is delimited on both sides; scales beyond the window cannot reach
     into these gaps because consecutive scaled hulls are disjoint outside
     the all-covered regime. In that regime the result is empty.
+
+    Disjointness also orders the union: the core's hull is [1-lam,
+    1/(1-lam)], and lam/(1-lam) < 1-lam exactly when the discriminant is
+    positive, so the scaled copies, taken from the largest k down, are
+    already sorted and disjoint, and the gaps are read off in one pass
+    without a merge.
     """
     lam = _validated_lambda(lam)
     if k_window < 0:
@@ -408,10 +478,16 @@ def visible_set(lam: RationalLike, k_window: int, n: int = 6) -> VisibleSet:
     else:
         base = quotient_core_cover(lam, n)
         exact = False
-    parts: list[Interval] = []
-    for k in range(-(k_window + 1), k_window + 2):
-        parts.extend(affine_image(base, lam ** k, 0).parts)
-    return VisibleSet(lam, k_window, exact, regime, IntervalSet(parts).gaps())
+    gaps: list[Interval] = []
+    top: Optional[Fraction] = None
+    for k in range(k_window + 1, -(k_window + 2), -1):
+        r = lam ** k
+        for part in base.parts:
+            lo = r * part.lo
+            if top is not None:
+                gaps.append(Interval(top, lo))
+            top = r * part.hi
+    return VisibleSet(lam, k_window, exact, regime, tuple(gaps))
 
 
 def thickness_condition(lam: RationalLike) -> bool:

@@ -229,3 +229,31 @@ class TestDiscipline:
         assert code == 0 and out == ""
         report = json.loads(target.read_text())
         assert report["result"]["regime"] == "Regime2_ExactGaps"
+
+
+class TestInternalErrors:
+    BIG_LAMBDA = "1000000000000000000000000000001/5000000000000000000000000000007"
+
+    def test_oversized_report_is_a_coded_error(self, capsys):
+        # the cover's total length has more digits than int-to-str allows
+        code = main(["quotient-cover", "--lambda", self.BIG_LAMBDA, "--depth", "6"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 1
+        assert report["command"] == "quotient-cover"
+        assert report["error"]["code"] == "internal"
+        assert report["error"]["message"].startswith("ValueError: ")
+        assert "Traceback" in captured.err
+
+    def test_any_unexpected_exception_is_internal(self, capsys, monkeypatch):
+        def broken(lam):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("cantorvis.cli.vismod.regime_classify", broken)
+        code = main(["classify", "--lambda", "1/3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out) == {
+            "command": "classify",
+            "error": {"code": "internal", "message": "RuntimeError: boom"}}
+        assert "RuntimeError: boom" in captured.err
