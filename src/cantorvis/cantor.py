@@ -38,10 +38,21 @@ def depth_budget() -> int:
 
 
 def ensure_depth(n: int, budget: Optional[int] = None, what: str = "enumeration") -> None:
-    ceiling = depth_budget() if budget is None else budget
-    if n > ceiling:
+    hint = ""
+    if budget is None:
+        budget = depth_budget()
+        hint = f" (override with {DEPTH_ENV_VAR})"
+    if n > budget:
         raise DepthBudgetExceeded(
-            f"{what} at depth {n} exceeds the depth budget {ceiling}")
+            f"{what} at depth {n} exceeds the depth budget {budget}{hint}")
+
+
+def validated_lambda(lam: RationalLike) -> Fraction:
+    """lam as a Fraction, checked to lie in (0, 1/2)."""
+    lam = as_rational(lam)
+    if not Fraction(0) < lam < Fraction(1, 2):
+        raise OutOfRange(f"lambda must lie in (0, 1/2), got {format_rational(lam)}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -75,10 +86,7 @@ class CantorParams:
     lam: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_rational(self.lam))
-        if not Fraction(0) < self.lam < Fraction(1, 2):
-            raise OutOfRange(
-                f"lambda must lie in (0, 1/2), got {format_rational(self.lam)}")
+        object.__setattr__(self, "lam", validated_lambda(self.lam))
 
     @property
     def low_map(self) -> IfsMap:

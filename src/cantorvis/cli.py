@@ -16,8 +16,9 @@ from fractions import Fraction
 from . import gds as gdsmod
 from . import slices as slmod
 from . import visibility as vismod
-from .cantor import CantorParams, basic_intervals, depth_budget
-from .errors import CantorVisError, ClosureNotFinite, OutOfRange
+from .cantor import CantorParams, basic_intervals, ensure_depth
+from .errors import (CantorVisError, ClosureNotFinite, OutOfRange,
+                     OutputNotWritable, ParseError)
 from .exact import Interval, IntervalSet, format_rational, parse_rational
 from .render import svg_interval_sets
 
@@ -48,16 +49,6 @@ def _check_budget(budget: int) -> int:
     if not 1 <= budget <= MAX_BUDGET:
         raise OutOfRange(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
     return budget
-
-
-def _check_depth(depth: int) -> int:
-    ceiling = depth_budget()
-    if depth > ceiling:
-        from .errors import DepthBudgetExceeded
-        raise DepthBudgetExceeded(
-            f"depth {depth} exceeds the ceiling {ceiling} "
-            f"(override with CANTOR_VIS_MAX_DEPTH)")
-    return depth
 
 
 def _orbit_dict(orbit: slmod.OrbitClosure) -> dict:
@@ -116,7 +107,8 @@ def _cmd_classify(args):
 
 
 def _cmd_visible(args):
-    ans = vismod.visible_query(args.lam, args.alpha, n=_check_depth(args.depth),
+    ensure_depth(args.depth)
+    ans = vismod.visible_query(args.lam, args.alpha, n=args.depth,
                                k_window=args.k_window)
     result = {"answer": ans.status.value, "reason": ans.reason}
     if ans.gap is not None:
@@ -132,7 +124,8 @@ def _cmd_visible(args):
 
 
 def _cmd_visible_set(args):
-    vs = vismod.visible_set(args.lam, args.k_window, n=_check_depth(args.depth))
+    ensure_depth(args.depth)
+    vs = vismod.visible_set(args.lam, args.k_window, n=args.depth)
     result = {
         "regime": vs.regime.tag.value,
         "exact": vs.exact,
@@ -149,7 +142,7 @@ def _cmd_visible_set(args):
 
 
 def _cmd_quotient_cover(args):
-    cover = vismod.quotient_core_cover(args.lam, _check_depth(args.depth))
+    cover = vismod.quotient_core_cover(args.lam, args.depth)
     result = {
         "n": args.depth,
         "part_count": len(cover),
@@ -172,11 +165,13 @@ def _cmd_quotient_cover(args):
 
 
 def _parse_interval(text: str) -> Interval:
-    from .errors import ParseError
     bits = text.split(",")
     if len(bits) != 2:
         raise ParseError(f"interval literal must be LO,HI, got {text!r}")
-    return Interval(parse_rational(bits[0]), parse_rational(bits[1]))
+    lo, hi = parse_rational(bits[0]), parse_rational(bits[1])
+    if lo > hi:
+        raise ParseError(f"interval literal must have LO <= HI, got {text!r}")
+    return Interval(lo, hi)
 
 
 def _cmd_key2_check(args):
@@ -215,7 +210,7 @@ def _cmd_boxdim(args):
     lam = args.lam
     if args.n_min >= args.n_max:
         raise OutOfRange(f"--n-min must be below --n-max, got {args.n_min}, {args.n_max}")
-    _check_depth(args.n_max)
+    ensure_depth(args.n_max)
     depths = range(args.n_min, args.n_max + 1)
     if args.family == "basic":
         params = CantorParams(lam)
@@ -334,15 +329,16 @@ def _cmd_gds_dim(args):
 
 def _cmd_codings(args):
     ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    count = slmod.coding_count(ifs, args.point, _check_depth(args.depth))
+    ensure_depth(args.depth)
+    count = slmod.coding_count(ifs, args.point, args.depth)
     result = {"point": _q(args.point), "depth": args.depth,
               "count": count, "unique": count == 1}
     return EXIT_OK, result, None, None
 
 
 def _cmd_slice_count(args):
-    count = slmod.slice_count_2d(args.lam, args.slope_t, args.point,
-                                 _check_depth(args.depth))
+    ensure_depth(args.depth)
+    count = slmod.slice_count_2d(args.lam, args.slope_t, args.point, args.depth)
     result = {"point": _q(args.point), "depth": args.depth, "count": count}
     return EXIT_OK, result, None, None
 
@@ -439,18 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_error(args, code: str, message: str) -> int:
-    report = {"command": args.command, "error": {"code": code, "message": message}}
-    _emit(json.dumps(report, indent=2) + "\n", getattr(args, "out", None))
-    return EXIT_ERROR
+def _error_text(command, code: str, message: str) -> str:
+    report = {"error": {"code": code, "message": message}}
+    if command is not None:
+        report = {"command": command, **report}
+    return json.dumps(report, indent=2) + "\n"
 
 
 def main(argv=None) -> int:
@@ -459,26 +448,35 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except CantorVisError as exc:
         # bad rational literals raise before any subcommand runs
-        report = {"error": {"code": exc.code, "message": str(exc)}}
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_error_text(None, exc.code, str(exc)))
         return EXIT_ERROR
     handler = _HANDLERS[args.command]
     try:
         code, result, payload, kind = handler(args)
     except CantorVisError as exc:
-        return _emit_error(args, exc.code, str(exc))
+        code, text = EXIT_ERROR, _error_text(args.command, exc.code, str(exc))
     except Exception as exc:
         # a defect, not a domain error: keep the JSON contract, and the
         # traceback for whoever fixes it
         import traceback
         traceback.print_exc()
-        return _emit_error(args, "internal", f"{type(exc).__name__}: {exc}")
-    report = {"command": args.command, "result": result}
-    fmt = getattr(args, "format", "json")
-    if fmt != "json" and payload is not None:
-        _emit(payload, args.out)
+        code = EXIT_ERROR
+        text = _error_text(args.command, "internal", f"{type(exc).__name__}: {exc}")
     else:
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        if args.format != "json" and payload is not None:
+            text = payload
+        else:
+            text = json.dumps({"command": args.command, "result": result}, indent=2) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stdout.write(_error_text(args.command, OutputNotWritable.code,
+                                     f"cannot write {args.out}: {exc.strerror}"))
+        return EXIT_ERROR
     return code
 
 

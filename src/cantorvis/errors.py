@@ -52,13 +52,6 @@ class NegativeSlope(CantorVisError):
     code = "negative-slope"
 
 
-class RegimeUnsupported(CantorVisError):
-    """Reserved: the visible-set builder returns an empty set with a regime flag
-    instead of raising, but the code stays part of the public vocabulary."""
-
-    code = "regime-unsupported"
-
-
 class InsufficientScales(CantorVisError):
     code = "insufficient-scales"
 
@@ -67,13 +60,6 @@ class NotIntervalAttractor(CantorVisError):
     """The four projected images fail to cover the target interval exactly."""
 
     code = "not-interval-attractor"
-
-
-class DegenerateIfs(CantorVisError):
-    """Reserved: coincident maps are reduced with a warning rather than raised,
-    but the code identifies the condition in reports."""
-
-    code = "degenerate-ifs"
 
 
 class OutOfAttractor(CantorVisError):
@@ -88,3 +74,9 @@ class ClosureNotFinite(CantorVisError):
 
 class EmptySystem(CantorVisError):
     code = "empty-system"
+
+
+class OutputNotWritable(CantorVisError):
+    """The CLI could not write its report to the requested --out file."""
+
+    code = "output-not-writable"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +22,8 @@ import numpy as np
 from .errors import ClosureNotFinite, EmptySystem, OutOfAttractor
 from .exact import Interval, RationalLike, as_rational, format_rational
 from .slices import (Prop1Report, Prop2Report, ProjectionIfs, Verdict,
-                     overlap_regions, prop1_check, prop2_check,
+                     _endpoint_orbits, _prop1_report, _prop2_report,
+                     inverse_closure, overlap_regions, prop1_check,
                      survivor_cover)
 from .visibility import BoxDimEstimate, box_dim_estimate
 
@@ -80,26 +80,6 @@ class GraphDirectedSystem:
         return "\n".join(lines) + "\n"
 
 
-def _saturate_cuts(ifs: ProjectionIfs, seeds: Iterable[Fraction],
-                   budget: int) -> list[Fraction]:
-    """Close the cut set under all admissible inverse branches."""
-    points: set[Fraction] = set(seeds)
-    queue = deque(points)
-    while queue:
-        y = queue.popleft()
-        for label in ifs.effective:
-            if not ifs.image(label).contains(y):
-                continue
-            z = ifs.inverse(label, y)
-            if z not in points:
-                if len(points) >= budget:
-                    raise ClosureNotFinite(
-                        f"cut-point closure exceeded the budget {budget}")
-                points.add(z)
-                queue.append(z)
-    return sorted(points)
-
-
 def build_gds(ifs: ProjectionIfs, closure: Iterable[RationalLike], *,
               strong_separation: Optional[bool] = None,
               budget: int = 10_000) -> GraphDirectedSystem:
@@ -121,7 +101,10 @@ def build_gds(ifs: ProjectionIfs, closure: Iterable[RationalLike], *,
     seeds.update((ifs.attractor.lo, ifs.attractor.hi))
     for _, point in regs.endpoints():
         seeds.add(point)
-    cuts = _saturate_cuts(ifs, seeds, budget)
+    words, _, saturated = inverse_closure(ifs, seeds, budget, regs)
+    if not saturated:
+        raise ClosureNotFinite(f"cut-point closure exceeded the budget {budget}")
+    cuts = sorted(words)
     pieces = [Interval(u, v) for u, v in zip(cuts, cuts[1:])]
     holes = [r.interval for r in regs.regions if not r.degenerate]
     states = tuple(p for p in pieces
@@ -162,11 +145,13 @@ def gds_from_dynamics(ifs: ProjectionIfs, budget: int = 10_000,
                       ) -> tuple[GraphDirectedSystem, Prop1Report, Prop2Report]:
     """Run both endpoint checks and build the system from the orbit closures.
 
-    Raises ClosureNotFinite when the finite-closure check stays UNKNOWN at
-    the given budget; the separation flag comes from the hole-return check.
+    Both checks read the same endpoint orbits, computed once. Raises
+    ClosureNotFinite when the finite-closure check stays UNKNOWN at the given
+    budget; the separation flag comes from the hole-return check.
     """
-    p1 = prop1_check(ifs, budget)
-    p2 = prop2_check(ifs, budget)
+    reports = _endpoint_orbits(ifs, budget)
+    p1 = _prop1_report(reports)
+    p2 = _prop2_report(reports)
     if p2.verdict is not Verdict.TRUE:
         raise ClosureNotFinite(
             f"endpoint orbit closures not certified finite within budget {budget}")

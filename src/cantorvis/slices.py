@@ -21,9 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from .cantor import CantorParams, IfsMap, UNIT, refine_to_depth
+from .cantor import CantorParams, IfsMap, UNIT, refine_to_depth, validated_lambda
 from .errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
 from .exact import (Interval, IntervalSet, RationalLike, as_rational,
                     format_rational, normalize_union)
@@ -68,9 +68,7 @@ def build_projection_ifs(lam: RationalLike, t: RationalLike) -> ProjectionIfs:
     closed-form overlap endpoints are cross-checked against the generic
     pairwise intersections.
     """
-    lam = as_rational(lam)
-    if not Fraction(0) < lam < Fraction(1, 2):
-        raise OutOfRange(f"lambda must lie in (0, 1/2), got {format_rational(lam)}")
+    lam = validated_lambda(lam)
     t = as_rational(t)
     if t <= 0:
         raise OutOfRange(f"slope must be positive, got {format_rational(t)}")
@@ -202,25 +200,26 @@ class OrbitClosure:
     saturated: bool
 
 
-def orbit_search(ifs: ProjectionIfs, x: RationalLike, budget: int = 10_000,
-                 regions: Optional[OverlapRegions] = None) -> OrbitClosure:
-    """Explore every admissible inverse orbit of x, breadth first.
+def inverse_closure(ifs: ProjectionIfs, seeds: Iterable[Fraction],
+                    budget: int = 10_000, regions: Optional[OverlapRegions] = None,
+                    ) -> tuple[dict[Fraction, tuple[int, ...]],
+                               Optional[tuple[int, ...]], bool]:
+    """Close the seeds under every admissible inverse branch, breadth first.
 
-    Branches are taken in label order, so results are deterministic. Hole
-    hits are checked on every proper image, revisits included; the start
-    point itself never counts. Exploration continues through hole hits so
-    the closure (needed downstream) is still computed; it stops only at
-    saturation or at the budget.
+    Returns (words, witness, saturated). `words[p]` is a shortest branch word
+    sending some seed to p (empty for the seeds themselves), so its keys are
+    the closure. Branches are taken in label order, so results are
+    deterministic. Hole hits are checked on every proper image, revisits
+    included, and `witness` is the first hole-hitting word in breadth-first
+    order; the seeds themselves never count. Exploration continues through
+    hole hits; it stops only at saturation or when a new point would grow
+    the closure past `budget` points, which leaves `saturated` False.
     """
-    x = as_rational(x)
-    if not ifs.attractor.contains(x):
-        raise OutOfAttractor(
-            f"{format_rational(x)} outside [{format_rational(ifs.attractor.lo)}, 1]")
     if budget < 1:
         raise OutOfRange(f"budget must be positive, got {budget}")
     regs = overlap_regions(ifs) if regions is None else regions
-    words: dict[Fraction, tuple[int, ...]] = {x: ()}
-    queue: deque[Fraction] = deque([x])
+    words: dict[Fraction, tuple[int, ...]] = dict.fromkeys(seeds, ())
+    queue: deque[Fraction] = deque(words)
     witness: Optional[tuple[int, ...]] = None
     truncated = False
     while queue and not truncated:
@@ -238,15 +237,26 @@ def orbit_search(ifs: ProjectionIfs, x: RationalLike, budget: int = 10_000,
                     break
                 words[z] = base + (label,)
                 queue.append(z)
+    return words, witness, not truncated
+
+
+def orbit_search(ifs: ProjectionIfs, x: RationalLike, budget: int = 10_000,
+                 regions: Optional[OverlapRegions] = None) -> OrbitClosure:
+    """The inverse closure of the single point x (see `inverse_closure`)."""
+    x = as_rational(x)
+    if not ifs.attractor.contains(x):
+        raise OutOfAttractor(
+            f"{format_rational(x)} outside [{format_rational(ifs.attractor.lo)}, 1]")
+    words, witness, saturated = inverse_closure(ifs, (x,), budget, regions)
     if witness is not None:
         status = OrbitStatus.HITS_HOLE
-    elif truncated:
+    elif not saturated:
         status = OrbitStatus.BUDGET_EXCEEDED
     else:
         status = OrbitStatus.FINITE_CLOSURE
     return OrbitClosure(start=x, status=status, witness_to_hole=witness,
                         visited=tuple(sorted(words)), words=words,
-                        saturated=not truncated)
+                        saturated=saturated)
 
 
 class Verdict(Enum):
@@ -308,8 +318,7 @@ def _endpoint_orbits(ifs: ProjectionIfs, budget: int) -> tuple[EndpointReport, .
                  for label, point in regs.endpoints())
 
 
-def prop1_check(ifs: ProjectionIfs, budget: int = 10_000) -> Prop1Report:
-    reports = _endpoint_orbits(ifs, budget)
+def _prop1_report(reports: tuple[EndpointReport, ...]) -> Prop1Report:
     statuses = [r.orbit.status for r in reports]
     if all(s is OrbitStatus.HITS_HOLE for s in statuses):
         verdict = Verdict.TRUE
@@ -320,13 +329,20 @@ def prop1_check(ifs: ProjectionIfs, budget: int = 10_000) -> Prop1Report:
     return Prop1Report(reports, verdict)
 
 
-def prop2_check(ifs: ProjectionIfs, budget: int = 10_000) -> Prop2Report:
-    reports = _endpoint_orbits(ifs, budget)
+def _prop2_report(reports: tuple[EndpointReport, ...]) -> Prop2Report:
     union: set[Fraction] = set()
     for r in reports:
         union.update(r.orbit.visited)
     verdict = Verdict.TRUE if all(r.orbit.saturated for r in reports) else Verdict.UNKNOWN
     return Prop2Report(reports, verdict, tuple(sorted(union)))
+
+
+def prop1_check(ifs: ProjectionIfs, budget: int = 10_000) -> Prop1Report:
+    return _prop1_report(_endpoint_orbits(ifs, budget))
+
+
+def prop2_check(ifs: ProjectionIfs, budget: int = 10_000) -> Prop2Report:
+    return _prop2_report(_endpoint_orbits(ifs, budget))
 
 
 def coding_count(ifs: ProjectionIfs, a: RationalLike, n: int) -> int:

@@ -19,18 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cantor import CantorParams, endpoint_rank, ensure_depth
+from .cantor import CantorParams, endpoint_rank, ensure_depth, validated_lambda
 from .errors import (InsufficientScales, LengthMismatch, NegativeSlope,
                      NonPositiveDenominator, OutOfRange)
 from .exact import (Interval, IntervalSet, RationalLike, affine_image,
                     as_rational, format_rational, normalize_union)
-
-
-def _validated_lambda(lam: RationalLike) -> Fraction:
-    lam = as_rational(lam)
-    if not Fraction(0) < lam < Fraction(1, 2):
-        raise OutOfRange(f"lambda must lie in (0, 1/2), got {format_rational(lam)}")
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +52,7 @@ def regime_classify(lam: RationalLike) -> Regime:
     handled through the sign of lam^2 - 3*lam + 1, never through a decimal
     constant, so rational boundary cases are decided exactly.
     """
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     disc = lam * lam - 3 * lam + 1
     if disc <= 0:
         tag = RegimeTag.REGIME1_V_EMPTY
@@ -108,7 +101,7 @@ def key2_subintervals(lam: RationalLike, i: Interval, j: Interval) -> Key2Parts:
     endpoints are written out exactly; `full` is the quotient of the
     unrefined pair, [a/(b+t), (a+t)/b].
     """
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     t = i.length
     if t != j.length:
         raise LengthMismatch(
@@ -160,7 +153,7 @@ def _window_lattice(lam: Fraction, n: int) -> tuple[int, list[int], int]:
 
 def window_pieces(lam: RationalLike, n: int) -> list[Interval]:
     """Rank-n basic intervals inside the window [1-lam, 1] (2^(n-1) pieces)."""
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     if n < 1:
         raise OutOfRange(f"rank must be >= 1, got {n}")
     d, lows, w = _window_lattice(lam, n)
@@ -174,7 +167,7 @@ def key2_scan(lam: RationalLike, n_max: int) -> Optional[tuple[int, Interval, In
     Scanning stops at the first failing rank instead of continuing, since
     deeper ranks inherit nothing once the union identity breaks.
     """
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     for n in range(1, n_max + 1):
         pieces = window_pieces(lam, n)
         for x in range(len(pieces)):
@@ -238,7 +231,7 @@ def quotient_core_cover(lam: RationalLike, n: int,
     merge. One sort and one linear merge follow, and a Fraction is built
     only for the endpoints of the merged parts.
     """
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     if n < 1:
         raise OutOfRange(f"depth must be >= 1, got {n}")
     ensure_depth(n, budget, what=f"pair quotients (4^{n - 1} pairs)")
@@ -282,21 +275,24 @@ class RatioSetStructure:
 
 def exact_core(lam: RationalLike) -> Interval:
     """The single-interval quotient core [1-lam, 1/(1-lam)], exact for lam >= 1/3."""
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     return Interval(1 - lam, 1 / (1 - lam))
+
+
+def _core(lam: Fraction, n: int) -> tuple[IntervalSet, bool]:
+    """The core window and whether it is exact: `exact_core` for lam >= 1/3,
+    the rank-n `quotient_core_cover` below."""
+    if lam >= Fraction(1, 3):
+        return IntervalSet([exact_core(lam)]), True
+    return quotient_core_cover(lam, n), False
 
 
 def ratio_set_structure(lam: RationalLike, k_window: int,
                         n: int = 6) -> RatioSetStructure:
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     if k_window < 0:
         raise OutOfRange(f"scale window must be nonnegative, got {k_window}")
-    if lam >= Fraction(1, 3):
-        core = IntervalSet([exact_core(lam)])
-        exact = True
-    else:
-        core = quotient_core_cover(lam, n)
-        exact = False
+    core, exact = _core(lam, n)
     return RatioSetStructure(lam, core, -k_window, k_window, exact)
 
 
@@ -389,7 +385,7 @@ def visible_query(lam: RationalLike, alpha: RationalLike, n: int = 8,
     inside it an exact endpoint-ratio witness is required for NOT_VISIBLE,
     otherwise the verdict stays UNKNOWN_AT_DEPTH.
     """
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     alpha = as_rational(alpha)
     if alpha < 0:
         raise NegativeSlope(f"slope must be nonnegative, got {format_rational(alpha)}")
@@ -397,29 +393,24 @@ def visible_query(lam: RationalLike, alpha: RationalLike, n: int = 8,
         # 0 is a quotient of attractor points (numerator 0), so the axis is blocked
         return VisibilityAnswer(Visibility.NOT_VISIBLE, "zero-slope")
     max_steps = max(32, 4 * (k_window + 8))
-    if lam >= Fraction(1, 3):
-        core = exact_core(lam)
-        kind, k, gap = _scale_bracket(alpha, lam, core.lo, core.hi, max_steps)
-        if kind == "in":
-            scaled = Interval(lam ** k * core.lo, lam ** k * core.hi)
-            return VisibilityAnswer(Visibility.NOT_VISIBLE, "ratio-structure",
-                                    scale_k=k, core=scaled)
-        if kind == "gap":
-            # reachable only when consecutive scaled cores are disjoint,
-            # i.e. lam*hi < lo, which is exactly a positive discriminant
-            return VisibilityAnswer(Visibility.VISIBLE, "structure-gap", gap=gap)
-        return VisibilityAnswer(Visibility.UNKNOWN_AT_DEPTH, "scale-search-exhausted")
-    cover = quotient_core_cover(lam, n)
-    hull = cover.hull()
+    core, exact = _core(lam, n)
+    hull = core.hull()
     kind, k, gap = _scale_bracket(alpha, lam, hull.lo, hull.hi, max_steps)
-    if kind == "gap":
-        return VisibilityAnswer(Visibility.VISIBLE, "scale-gap", gap=gap)
     if kind == "unknown":
         return VisibilityAnswer(Visibility.UNKNOWN_AT_DEPTH, "scale-search-exhausted")
+    if kind == "gap":
+        # for the exact core, reachable only when consecutive scaled cores are
+        # disjoint, i.e. lam*hi < lo, which is exactly a positive discriminant
+        return VisibilityAnswer(Visibility.VISIBLE,
+                                "structure-gap" if exact else "scale-gap", gap=gap)
+    if exact:
+        scaled = Interval(lam ** k * hull.lo, lam ** k * hull.hi)
+        return VisibilityAnswer(Visibility.NOT_VISIBLE, "ratio-structure",
+                                scale_k=k, core=scaled)
     scaled_alpha = alpha / lam ** k
-    part = cover.part_containing(scaled_alpha)
+    part = core.part_containing(scaled_alpha)
     if part is None:
-        inner = cover.gap_containing(scaled_alpha)
+        inner = core.gap_containing(scaled_alpha)
         gap = Interval(lam ** k * inner.lo, lam ** k * inner.hi)
         return VisibilityAnswer(Visibility.VISIBLE, "cover-gap", scale_k=k, gap=gap)
     scaled_part = Interval(lam ** k * part.lo, lam ** k * part.hi)
@@ -466,18 +457,13 @@ def visible_set(lam: RationalLike, k_window: int, n: int = 6) -> VisibleSet:
     already sorted and disjoint, and the gaps are read off in one pass
     without a merge.
     """
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     if k_window < 0:
         raise OutOfRange(f"scale window must be nonnegative, got {k_window}")
     regime = regime_classify(lam)
     if regime.tag is RegimeTag.REGIME1_V_EMPTY:
         return VisibleSet(lam, k_window, True, regime, ())
-    if lam >= Fraction(1, 3):
-        base = IntervalSet([exact_core(lam)])
-        exact = True
-    else:
-        base = quotient_core_cover(lam, n)
-        exact = False
+    base, exact = _core(lam, n)
     gaps: list[Interval] = []
     top: Optional[Fraction] = None
     for k in range(k_window + 1, -(k_window + 2), -1):
@@ -492,7 +478,7 @@ def visible_set(lam: RationalLike, k_window: int, n: int = 6) -> VisibleSet:
 
 def thickness_condition(lam: RationalLike) -> bool:
     """Exact test lam^2 > lam*(1-2*lam)^2, the interval-guarantee inequality."""
-    lam = _validated_lambda(lam)
+    lam = validated_lambda(lam)
     return lam > (1 - 2 * lam) ** 2
 
 

@@ -230,6 +230,23 @@ class TestDiscipline:
         report = json.loads(target.read_text())
         assert report["result"]["regime"] == "Regime2_ExactGaps"
 
+    def test_unwritable_out_is_a_coded_error(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "report.json")
+        # both the report path and the error path must keep the JSON contract
+        for lam in ("1/3", "3/5"):
+            code = main(["classify", "--lambda", lam, "--out", target])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert json.loads(captured.out)["error"]["code"] == "output-not-writable"
+            assert captured.err == ""
+
+    def test_reversed_interval_literal(self, capsys):
+        code = main(["key2-check", "--lambda", "1/3", "--interval-i", "1,0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["error"]["code"] == "parse-error"
+        assert captured.err == ""
+
 
 class TestInternalErrors:
     BIG_LAMBDA = "1000000000000000000000000000001/5000000000000000000000000000007"

@@ -79,6 +79,22 @@ class TestBuild:
         with pytest.raises(ClosureNotFinite):
             gds_from_dynamics(ifs, budget=50)
 
+    def test_endpoint_orbits_run_once(self, monkeypatch):
+        from cantorvis import slices
+        calls = []
+        real = slices.orbit_search
+
+        def counting(ifs, x, *args, **kwargs):
+            calls.append(x)
+            return real(ifs, x, *args, **kwargs)
+
+        monkeypatch.setattr(slices, "orbit_search", counting)
+        ifs = build_projection_ifs(F(1, 3), F(1, 2))
+        gds_from_dynamics(ifs)
+        endpoints = [p for _, p in slices.overlap_regions(ifs).endpoints()]
+        assert len(endpoints) == 6
+        assert calls == endpoints
+
     def test_manual_closure_accepts_extra_cuts(self):
         ifs = build_projection_ifs(F(1, 3), F(1, 2))
         base, _, p2 = gds_from_dynamics(ifs)

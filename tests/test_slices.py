@@ -7,7 +7,7 @@ from cantorvis.errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
 from cantorvis.exact import Interval, IntervalSet
 from cantorvis.slices import (OrbitStatus, Verdict, admissible_branches,
                               build_projection_ifs, coding_count,
-                              orbit_search, overlap_regions, prop1_check,
+                              inverse_closure, orbit_search, overlap_regions, prop1_check,
                               prop2_check, slice_count_2d, survivor_cover)
 
 
@@ -169,6 +169,27 @@ class TestOrbits:
     def test_out_of_attractor(self):
         with pytest.raises(OutOfAttractor):
             orbit_search(third_half(), 2)
+
+    @pytest.mark.parametrize("lam, t", [(F(1, 3), F(1, 2)), (F(1, 3), F(2, 3)),
+                                        (F(1, 3), F(3)), (F(1, 4), F(2))])
+    def test_multi_seed_closure_is_union_of_single_seeds(self, lam, t):
+        ifs = build_projection_ifs(lam, t)
+        seeds = [p for _, p in overlap_regions(ifs).endpoints()]
+        seeds += [ifs.attractor.lo, F(0), F(1, 7)]
+        words, _, saturated = inverse_closure(ifs, seeds)
+        assert saturated
+        assert set(words) == set().union(*(orbit_search(ifs, s).visited for s in seeds))
+        for point, word in words.items():
+            value = point
+            for label in reversed(word):
+                value = ifs.map_for(label).apply(value)
+            assert value in seeds
+
+    def test_multi_seed_closure_truncates_at_the_budget(self):
+        ifs = build_projection_ifs(F(7, 20), F(1, 2))
+        words, _, saturated = inverse_closure(ifs, (F(0), F(1, 40)), budget=30)
+        assert not saturated
+        assert len(words) == 30
 
 
 class TestPropChecks:
