@@ -3,7 +3,9 @@
 Reports are deterministic JSON by default (fixed key order, exact rationals
 as "p/q" strings, approximate decimals rounded to 12 places and tagged with
 an `_approx` suffix). Exit codes: 0 for definite answers, 2 for
-Unknown/BudgetExceeded verdicts, 1 for errors.
+Unknown/BudgetExceeded verdicts, 1 for errors, usage errors included.
+
+Each subcommand is one row of `_COMMANDS` and one `_cmd_*` handler.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import gds as gdsmod
 from . import slices as slmod
@@ -33,66 +34,39 @@ def _approx(x) -> float:
     return round(float(x), 12)
 
 
-def _q(x: Fraction) -> str:
-    return format_rational(x)
+_q = format_rational
 
 
 def _iv(iv: Interval) -> list:
     return [_q(iv.lo), _q(iv.hi)]
 
 
-def _ivset(s: IntervalSet) -> list:
-    return [_iv(p) for p in s.parts]
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n"
 
 
-def _check_budget(budget: int) -> int:
-    if not 1 <= budget <= MAX_BUDGET:
-        raise OutOfRange(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
-    return budget
+def _ifs(args) -> slmod.ProjectionIfs:
+    """The projection system of (lambda, t); then the orbit budget, if any."""
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
+    if "budget" in args and not 1 <= args.budget <= MAX_BUDGET:
+        raise OutOfRange(f"budget must lie in [1, {MAX_BUDGET}], got {args.budget}")
+    return ifs
 
 
-def _orbit_dict(orbit: slmod.OrbitClosure) -> dict:
-    return {
-        "start": _q(orbit.start),
-        "status": orbit.status.value,
-        "witness": list(orbit.witness_to_hole) if orbit.witness_to_hole else None,
-        "saturated": orbit.saturated,
-        "visited_count": len(orbit.visited),
-        "visited": [_q(p) for p in orbit.visited],
-    }
+def _orbit_fields(orbit: slmod.OrbitClosure) -> dict:
+    witness = orbit.witness_to_hole
+    return {"status": orbit.status.value, "witness": list(witness) if witness else None,
+            "saturated": orbit.saturated}
 
 
 def _endpoint_rows(reports) -> list:
-    return [{"label": r.label, "point": _q(r.point),
-             "status": r.orbit.status.value,
-             "witness": list(r.orbit.witness_to_hole) if r.orbit.witness_to_hole else None,
-             "saturated": r.orbit.saturated,
+    return [{"label": r.label, "point": _q(r.point), **_orbit_fields(r.orbit),
              "closure_size": len(r.orbit.visited)}
             for r in reports]
 
 
-def _project_dict(ifs: slmod.ProjectionIfs) -> dict:
-    regs = slmod.overlap_regions(ifs)
-    return {
-        "lambda": _q(ifs.lam),
-        "slope_t": _q(ifs.slope_t),
-        "attractor": _iv(ifs.attractor),
-        "degenerate": ifs.degenerate,
-        "effective": list(ifs.effective),
-        "maps": [{"label": i + 1, "ratio": _q(m.ratio), "shift": _q(m.shift)}
-                 for i, m in enumerate(ifs.maps)],
-        "images": [{"label": label, "interval": _iv(img)}
-                   for label, img in ifs.images()],
-        "overlaps": [{"interval": _iv(r.interval),
-                      "maps": [r.left_label, r.right_label],
-                      "degenerate": r.degenerate}
-                     for r in regs.regions],
-    }
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, result_dict, payload, kind)
-# ---------------------------------------------------------------------------
+# subcommand handlers: each returns (exit_code, result_dict, renderers), where
+# renderers maps each non-JSON format of its row to a function building it
 
 def _cmd_classify(args):
     regime = vismod.regime_classify(args.lam)
@@ -103,7 +77,7 @@ def _cmd_classify(args):
         "boundary_flags": {"at_one_third": regime.at_one_third,
                            "at_one_quarter": regime.at_one_quarter},
     }
-    return EXIT_OK, result, None, None
+    return EXIT_OK, result, {}
 
 
 def _cmd_visible(args):
@@ -120,7 +94,7 @@ def _cmd_visible(args):
     if ans.witness is not None:
         result["witness"] = [_q(ans.witness[0]), _q(ans.witness[1])]
     code = EXIT_UNKNOWN if ans.status is vismod.Visibility.UNKNOWN_AT_DEPTH else EXIT_OK
-    return code, result, None, None
+    return code, result, {}
 
 
 def _cmd_visible_set(args):
@@ -133,12 +107,9 @@ def _cmd_visible_set(args):
         "gap_count": len(vs.gaps),
         "gaps": [_iv(g) for g in vs.gaps],
     }
-    payload = None
-    if args.format == "svg":
-        payload = svg_interval_sets(
-            [("gaps", IntervalSet(vs.gaps))],
-            title=f"visible gaps, lambda={_q(vs.lam)}, |k|<={vs.k_window}")
-    return EXIT_OK, result, payload, "svg" if payload else None
+    return EXIT_OK, result, {"svg": lambda: svg_interval_sets(
+        [("gaps", IntervalSet(vs.gaps))],
+        title=f"visible gaps, lambda={_q(vs.lam)}, |k|<={vs.k_window}")}
 
 
 def _cmd_quotient_cover(args):
@@ -148,20 +119,14 @@ def _cmd_quotient_cover(args):
         "part_count": len(cover),
         "total_length": _q(cover.total_length),
         "total_length_approx": _approx(cover.total_length),
-        "parts": _ivset(cover),
+        "parts": [_iv(p) for p in cover.parts],
     }
-    payload = None
-    kind = None
-    if args.format == "svg":
-        payload = svg_interval_sets(
+    return EXIT_OK, result, {
+        "csv": lambda: _csv("lo,hi", result["parts"]),
+        "svg": lambda: svg_interval_sets(
             [(f"n={args.depth}", cover)],
-            title=f"quotient cover, lambda={_q(args.lam)}")
-        kind = "svg"
-    elif args.format == "csv":
-        lines = ["lo,hi"] + [f"{_q(p.lo)},{_q(p.hi)}" for p in cover.parts]
-        payload = "\n".join(lines) + "\n"
-        kind = "csv"
-    return EXIT_OK, result, payload, kind
+            title=f"quotient cover, lambda={_q(args.lam)}"),
+    }
 
 
 def _parse_interval(text: str) -> Interval:
@@ -176,34 +141,27 @@ def _parse_interval(text: str) -> Interval:
 
 def _cmd_key2_check(args):
     lam = args.lam
-    if args.interval_i is not None:
-        i = _parse_interval(args.interval_i)
-    else:
-        i = Interval(1 - lam, 1)
-    j = _parse_interval(args.interval_j) if args.interval_j is not None else i
+    i = (Interval(1 - lam, 1) if args.interval_i is None
+         else _parse_interval(args.interval_i))
+    j = i if args.interval_j is None else _parse_interval(args.interval_j)
     pieces = vismod.key2_subintervals(lam, i, j)
-    holds = vismod.key2_check(lam, i, j)
     result = {
-        "holds": holds,
+        "holds": vismod.key2_check(lam, i, j),
         "i": _iv(i),
         "j": _iv(j),
         "full": _iv(pieces.full),
         "parts": [_iv(p) for p in pieces.parts],
         "margins": {k: _q(v) for k, v in pieces.overlap_margins().items()},
-        "union": _ivset(IntervalSet(pieces.parts)),
+        "union": [_iv(p) for p in IntervalSet(pieces.parts).parts],
     }
-    return EXIT_OK, result, None, None
+    return EXIT_OK, result, {}
 
 
 def _cmd_thickness(args):
     lam = args.lam
-    holds = vismod.thickness_condition(lam)
-    result = {
-        "holds": holds,
-        "lhs": _q(lam),
-        "rhs": _q((1 - 2 * lam) ** 2),
-    }
-    return EXIT_OK, result, None, None
+    result = {"holds": vismod.thickness_condition(lam),
+              "lhs": _q(lam), "rhs": _q((1 - 2 * lam) ** 2)}
+    return EXIT_OK, result, {}
 
 
 def _cmd_boxdim(args):
@@ -227,41 +185,46 @@ def _cmd_boxdim(args):
         "max_residual": _approx(est.max_residual),
         "points": points,
     }
-    payload = None
-    kind = None
-    if args.format == "csv":
-        lines = ["n,scale,count"] + [f"{p['n']},{p['scale']},{p['count']}" for p in points]
-        payload = "\n".join(lines) + "\n"
-        kind = "csv"
-    return EXIT_OK, result, payload, kind
+    return EXIT_OK, result, {
+        "csv": lambda: _csv("n,scale,count", (p.values() for p in points))}
 
 
 def _cmd_project(args):
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    result = _project_dict(ifs)
-    payload = None
-    kind = None
-    if args.format == "svg":
-        rows = [(f"g{label}", IntervalSet([img])) for label, img in ifs.images()]
-        rows.append(("overlaps", slmod.overlap_regions(ifs).hole_set()))
-        payload = svg_interval_sets(
-            rows, title=f"projection images, lambda={_q(ifs.lam)}, t={_q(ifs.slope_t)}")
-        kind = "svg"
-    return EXIT_OK, result, payload, kind
+    ifs = _ifs(args)
+    regs = slmod.overlap_regions(ifs)
+    result = {
+        "lambda": _q(ifs.lam),
+        "slope_t": _q(ifs.slope_t),
+        "attractor": _iv(ifs.attractor),
+        "degenerate": ifs.degenerate,
+        "effective": list(ifs.effective),
+        "maps": [{"label": i + 1, "ratio": _q(m.ratio), "shift": _q(m.shift)}
+                 for i, m in enumerate(ifs.maps)],
+        "images": [{"label": label, "interval": _iv(img)}
+                   for label, img in ifs.images()],
+        "overlaps": [{"interval": _iv(r.interval),
+                      "maps": [r.left_label, r.right_label],
+                      "degenerate": r.degenerate}
+                     for r in regs.regions],
+    }
+    return EXIT_OK, result, {"svg": lambda: svg_interval_sets(
+        [(f"g{label}", IntervalSet([img])) for label, img in ifs.images()]
+        + [("overlaps", regs.hole_set())],
+        title=f"projection images, lambda={_q(ifs.lam)}, t={_q(ifs.slope_t)}")}
 
 
 def _cmd_orbits(args):
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    orbit = slmod.orbit_search(ifs, args.point, budget=_check_budget(args.budget))
-    result = _orbit_dict(orbit)
+    orbit = slmod.orbit_search(_ifs(args), args.point, budget=args.budget)
+    result = {"start": _q(orbit.start), **_orbit_fields(orbit),
+              "visited_count": len(orbit.visited),
+              "visited": [_q(p) for p in orbit.visited]}
     code = (EXIT_UNKNOWN if orbit.status is slmod.OrbitStatus.BUDGET_EXCEEDED
             else EXIT_OK)
-    return code, result, None, None
+    return code, result, {}
 
 
 def _cmd_prop1(args):
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    rep = slmod.prop1_check(ifs, budget=_check_budget(args.budget))
+    rep = slmod.prop1_check(_ifs(args), budget=args.budget)
     result = {
         "holds": rep.holds,
         "verdict": rep.verdict.value,
@@ -269,12 +232,11 @@ def _cmd_prop1(args):
         "endpoints": _endpoint_rows(rep.endpoints),
     }
     code = EXIT_UNKNOWN if rep.verdict is slmod.Verdict.UNKNOWN else EXIT_OK
-    return code, result, None, None
+    return code, result, {}
 
 
 def _cmd_prop2(args):
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    rep = slmod.prop2_check(ifs, budget=_check_budget(args.budget))
+    rep = slmod.prop2_check(_ifs(args), budget=args.budget)
     result = {
         "holds": rep.holds,
         "verdict": rep.verdict.value,
@@ -283,38 +245,24 @@ def _cmd_prop2(args):
         "endpoints": _endpoint_rows(rep.endpoints),
     }
     code = EXIT_UNKNOWN if rep.verdict is slmod.Verdict.UNKNOWN else EXIT_OK
-    return code, result, None, None
+    return code, result, {}
 
 
 def _cmd_gds(args):
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    try:
-        system, p1, p2 = gdsmod.gds_from_dynamics(ifs, budget=_check_budget(args.budget))
-    except ClosureNotFinite as exc:
-        result = {"verdict": "unknown", "reason": str(exc)}
-        return EXIT_UNKNOWN, result, None, None
+    system, p1, p2 = gdsmod.gds_from_dynamics(_ifs(args), budget=args.budget)
     result = system.to_json_dict()
     result["prop1_holds"] = p1.holds
     result["prop2_holds"] = p2.holds
-    payload = None
-    kind = None
-    if args.format == "dot":
-        payload = system.to_dot()
-        kind = "dot"
-    elif args.format == "svg":
-        rows = [(f"s{i}", IntervalSet([s])) for i, s in enumerate(system.states)]
-        payload = svg_interval_sets(rows, title="graph-directed states")
-        kind = "svg"
-    return EXIT_OK, result, payload, kind
+    return EXIT_OK, result, {
+        "svg": lambda: svg_interval_sets(
+            [(f"s{i}", IntervalSet([s])) for i, s in enumerate(system.states)],
+            title="graph-directed states"),
+        "dot": system.to_dot,
+    }
 
 
 def _cmd_gds_dim(args):
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    try:
-        system, _, _ = gdsmod.gds_from_dynamics(ifs, budget=_check_budget(args.budget))
-    except ClosureNotFinite as exc:
-        result = {"verdict": "unknown", "reason": str(exc)}
-        return EXIT_UNKNOWN, result, None, None
+    system, _, _ = gdsmod.gds_from_dynamics(_ifs(args), budget=args.budget)
     rho = gdsmod.spectral_radius(system.adjacency)
     result = {
         "dimension": _approx(gdsmod.gds_dimension(system)),
@@ -324,115 +272,100 @@ def _cmd_gds_dim(args):
         "n_states": system.n_states,
         "n_edges": len(system.edges),
     }
-    return EXIT_OK, result, None, None
+    return EXIT_OK, result, {}
 
 
 def _cmd_codings(args):
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
+    ifs = _ifs(args)
     ensure_depth(args.depth)
     count = slmod.coding_count(ifs, args.point, args.depth)
     result = {"point": _q(args.point), "depth": args.depth,
               "count": count, "unique": count == 1}
-    return EXIT_OK, result, None, None
+    return EXIT_OK, result, {}
 
 
 def _cmd_slice_count(args):
     ensure_depth(args.depth)
     count = slmod.slice_count_2d(args.lam, args.slope_t, args.point, args.depth)
     result = {"point": _q(args.point), "depth": args.depth, "count": count}
-    return EXIT_OK, result, None, None
+    return EXIT_OK, result, {}
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "visible": _cmd_visible,
-    "visible-set": _cmd_visible_set,
-    "quotient-cover": _cmd_quotient_cover,
-    "key2-check": _cmd_key2_check,
-    "thickness": _cmd_thickness,
-    "boxdim": _cmd_boxdim,
-    "project": _cmd_project,
-    "orbits": _cmd_orbits,
-    "prop1": _cmd_prop1,
-    "prop2": _cmd_prop2,
-    "gds": _cmd_gds,
-    "gds-dim": _cmd_gds_dim,
-    "codings": _cmd_codings,
-    "slice-count": _cmd_slice_count,
+_OPTIONS = {
+    "--lambda": dict(dest="lam", required=True, type=parse_rational,
+                     help="contraction ratio as p/q, 0 < lambda < 1/2"),
+    "--slope-t": dict(required=True, type=parse_rational, help="slope t > 0 as p/q"),
+    "--alpha": dict(required=True, type=parse_rational,
+                    help="query slope alpha >= 0 as p/q"),
+    "--point": dict(required=True, type=parse_rational,
+                    help="point in the attractor as p/q"),
+    "--k-window": dict(type=int, default=8, help="scale window half-width (default 8)"),
+    "--budget": dict(type=int, default=10_000, help="orbit node budget (default 10000)"),
+    "--interval-i": dict(metavar="LO,HI",
+                         help="dividend interval (default [1-lambda, 1])"),
+    "--interval-j": dict(metavar="LO,HI",
+                         help="divisor interval (default: same as --interval-i)"),
+    "--family": dict(choices=("basic", "quotient"), default="basic"),
+    "--n-min": dict(type=int, default=2),
+    "--n-max": dict(type=int, default=7),
+}
+
+# name: (help, handler, options besides --lambda, default --depth, non-JSON formats)
+_COMMANDS = {
+    "classify": ("regime classification", _cmd_classify, "", None, ""),
+    "visible": ("visibility of one slope", _cmd_visible, "--alpha --k-window", 8, ""),
+    "visible-set": ("certified visible gaps", _cmd_visible_set, "--k-window", 6, "svg"),
+    "quotient-cover": ("window quotient outer cover", _cmd_quotient_cover, "", 6,
+                       "csv svg"),
+    "key2-check": ("four-piece quotient refinement identity", _cmd_key2_check,
+                   "--interval-i --interval-j", None, ""),
+    "thickness": ("interval-guarantee inequality", _cmd_thickness, "", None, ""),
+    "boxdim": ("box-counting slope for a cover family", _cmd_boxdim,
+               "--family --n-min --n-max", None, "csv"),
+    "project": ("projection system and overlaps", _cmd_project, "--slope-t", None, "svg"),
+    "orbits": ("inverse-orbit closure of a point", _cmd_orbits,
+               "--slope-t --point --budget", None, ""),
+    "prop1": ("endpoint hole-return check", _cmd_prop1, "--slope-t --budget", None, ""),
+    "prop2": ("endpoint finite-closure check", _cmd_prop2,
+              "--slope-t --budget", None, ""),
+    "gds": ("graph-directed system extraction", _cmd_gds, "--slope-t --budget", None,
+            "svg dot"),
+    "gds-dim": ("graph-directed dimension", _cmd_gds_dim, "--slope-t --budget", None, ""),
+    "codings": ("admissible branch-word count", _cmd_codings, "--slope-t --point", 8, ""),
+    "slice-count": ("product cells meeting a slice", _cmd_slice_count,
+                    "--slope-t --point", 8, ""),
 }
 
 
-def _add_common(sp, *, lam=True, slope=False, alpha=False, point=False,
-                depth=None, k_window=False, budget=False):
-    if lam:
-        sp.add_argument("--lambda", dest="lam", required=True, type=parse_rational,
-                        help="contraction ratio as p/q, 0 < lambda < 1/2")
-    if slope:
-        sp.add_argument("--slope-t", dest="slope_t", required=True,
-                        type=parse_rational, help="slope t > 0 as p/q")
-    if alpha:
-        sp.add_argument("--alpha", required=True, type=parse_rational,
-                        help="query slope alpha >= 0 as p/q")
-    if point:
-        sp.add_argument("--point", required=True, type=parse_rational,
-                        help="point in the attractor as p/q")
-    if depth is not None:
-        sp.add_argument("--depth", type=int, default=depth,
-                        help=f"enumeration depth (default {depth})")
-    if k_window:
-        sp.add_argument("--k-window", dest="k_window", type=int, default=8,
-                        help="scale window half-width (default 8)")
-    if budget:
-        sp.add_argument("--budget", type=int, default=10_000,
-                        help="orbit node budget (default 10000)")
-    sp.add_argument("--format", choices=("json", "csv", "svg", "dot"),
-                    default="json", help="output format (default json)")
-    sp.add_argument("--out", default=None, help="write the report to this file")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError: a coded JSON error, not usage text and exit 2."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cantorvis",
         description="Exact visibility, ratio-set, and slice-dynamics computations "
                     "for Cantor-set squares.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("classify", help="regime classification"))
-    _add_common(sub.add_parser("visible", help="visibility of one slope"),
-                alpha=True, depth=8, k_window=True)
-    _add_common(sub.add_parser("visible-set", help="certified visible gaps"),
-                depth=6, k_window=True)
-    _add_common(sub.add_parser("quotient-cover", help="window quotient outer cover"),
-                depth=6)
-    p = sub.add_parser("key2-check", help="four-piece quotient refinement identity")
-    _add_common(p)
-    p.add_argument("--interval-i", default=None, metavar="LO,HI",
-                   help="dividend interval (default [1-lambda, 1])")
-    p.add_argument("--interval-j", default=None, metavar="LO,HI",
-                   help="divisor interval (default: same as --interval-i)")
-    _add_common(sub.add_parser("thickness", help="interval-guarantee inequality"))
-    p = sub.add_parser("boxdim", help="box-counting slope for a cover family")
-    _add_common(p)
-    p.add_argument("--family", choices=("basic", "quotient"), default="basic")
-    p.add_argument("--n-min", dest="n_min", type=int, default=2)
-    p.add_argument("--n-max", dest="n_max", type=int, default=7)
-    _add_common(sub.add_parser("project", help="projection system and overlaps"),
-                slope=True)
-    _add_common(sub.add_parser("orbits", help="inverse-orbit closure of a point"),
-                slope=True, point=True, budget=True)
-    _add_common(sub.add_parser("prop1", help="endpoint hole-return check"),
-                slope=True, budget=True)
-    _add_common(sub.add_parser("prop2", help="endpoint finite-closure check"),
-                slope=True, budget=True)
-    _add_common(sub.add_parser("gds", help="graph-directed system extraction"),
-                slope=True, budget=True)
-    _add_common(sub.add_parser("gds-dim", help="graph-directed dimension"),
-                slope=True, budget=True)
-    _add_common(sub.add_parser("codings", help="admissible branch-word count"),
-                slope=True, point=True, depth=8)
-    _add_common(sub.add_parser("slice-count", help="product cells meeting a slice"),
-                slope=True, point=True, depth=8)
+    for name, (help_text, handler, options, depth, formats) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        for flag in ("--lambda", *options.split()):
+            sp.add_argument(flag, **_OPTIONS[flag])
+        if depth is not None:
+            sp.add_argument("--depth", type=int, default=depth,
+                            help=f"enumeration depth (default {depth})")
+        sp.add_argument("--format", choices=("json", *formats.split()), default="json",
+                        help="output format (default json)")
+        sp.add_argument("--out", help="write the report to this file")
     return parser
+
+
+def _report_text(command: str, result: dict) -> str:
+    return json.dumps({"command": command, "result": result}, indent=2) + "\n"
 
 
 def _error_text(command, code: str, message: str) -> str:
@@ -443,16 +376,20 @@ def _error_text(command, code: str, message: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except CantorVisError as exc:
-        # bad rational literals raise before any subcommand runs
+        # usage errors and bad rational literals raise before any subcommand runs
         sys.stdout.write(_error_text(None, exc.code, str(exc)))
         return EXIT_ERROR
-    handler = _HANDLERS[args.command]
     try:
-        code, result, payload, kind = handler(args)
+        code, result, renderers = args.handler(args)
+        text = (_report_text(args.command, result) if args.format == "json"
+                else renderers[args.format]())
+    except ClosureNotFinite as exc:
+        # the orbit closures outgrew the budget: an Unknown verdict, not an error
+        code = EXIT_UNKNOWN
+        text = _report_text(args.command, {"verdict": "unknown", "reason": str(exc)})
     except CantorVisError as exc:
         code, text = EXIT_ERROR, _error_text(args.command, exc.code, str(exc))
     except Exception as exc:
@@ -462,11 +399,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         code = EXIT_ERROR
         text = _error_text(args.command, "internal", f"{type(exc).__name__}: {exc}")
-    else:
-        if args.format != "json" and payload is not None:
-            text = payload
-        else:
-            text = json.dumps({"command": args.command, "result": result}, indent=2) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return code

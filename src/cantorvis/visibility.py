@@ -386,6 +386,8 @@ def visible_query(lam: RationalLike, alpha: RationalLike, n: int = 8,
     otherwise the verdict stays UNKNOWN_AT_DEPTH.
     """
     lam = validated_lambda(lam)
+    if k_window < 0:
+        raise OutOfRange(f"scale window must be nonnegative, got {k_window}")
     alpha = as_rational(alpha)
     if alpha < 0:
         raise NegativeSlope(f"slope must be nonnegative, got {format_rational(alpha)}")

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import shlex
+
+import pytest
 
 from cantorvis.cli import main
 
@@ -274,3 +278,130 @@ class TestInternalErrors:
             "command": "classify",
             "error": {"code": "internal", "message": "RuntimeError: boom"}}
         assert "RuntimeError: boom" in captured.err
+
+
+class TestUsageErrors:
+    """Usage errors end like bad literals: a parse-error report, exit code 1."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["classify"], id="missing-lambda"),
+        pytest.param(["visible", "--lambda", "1/3"], id="missing-alpha"),
+        pytest.param(["frobnicate", "--lambda", "1/3"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+        pytest.param(["visible", "--lambda", "1/3", "--alpha", "1/2", "--depth", "x"],
+                     id="depth"),
+        pytest.param(["orbits", "--lambda", "1/3", "--slope-t", "1/2", "--point", "0",
+                      "--budget", "x"], id="budget"),
+        pytest.param(["visible", "--lambda", "1/3", "--alpha", "1/2",
+                      "--k-window", "1.5"], id="k-window"),
+        pytest.param(["boxdim", "--lambda", "1/3", "--n-min", "a"], id="n-min"),
+        pytest.param(["boxdim", "--lambda", "1/3", "--n-max", "b"], id="n-max"),
+        pytest.param(["classify", "--lambda", "1/3", "--format", "xml"], id="format"),
+    ])
+    def test_usage_error_is_a_coded_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        report = json.loads(captured.out)
+        assert report["error"]["code"] == "parse-error"
+        assert report["error"]["message"]
+        assert captured.err == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "--help"])
+        assert info.value.code == 0
+        assert "--lambda" in capsys.readouterr().out
+
+
+# each subcommand with the non-JSON formats it renders, and arguments to run it
+FORMATS = {
+    "classify": ((), ["--lambda", "7/20"]),
+    "visible": ((), ["--lambda", "7/20", "--alpha", "17/10", "--k-window", "3"]),
+    "visible-set": (("svg",), ["--lambda", "7/20", "--k-window", "1"]),
+    "quotient-cover": (("csv", "svg"), ["--lambda", "1/5", "--depth", "3"]),
+    "key2-check": ((), ["--lambda", "1/3"]),
+    "thickness": ((), ["--lambda", "3/10"]),
+    "boxdim": (("csv",), ["--lambda", "1/4", "--n-min", "2", "--n-max", "4"]),
+    "project": (("svg",), ["--lambda", "1/3", "--slope-t", "1/2"]),
+    "orbits": ((), ["--lambda", "1/3", "--slope-t", "1/2", "--point=-1/6"]),
+    "prop1": ((), ["--lambda", "1/3", "--slope-t", "1/2"]),
+    "prop2": ((), ["--lambda", "1/3", "--slope-t", "1/2"]),
+    "gds": (("svg", "dot"), ["--lambda", "1/3", "--slope-t", "1/2"]),
+    "gds-dim": ((), ["--lambda", "1/3", "--slope-t", "1/2"]),
+    "codings": ((), ["--lambda", "1/3", "--slope-t", "1/2", "--point=-1/6",
+                     "--depth", "3"]),
+    "slice-count": ((), ["--lambda", "1/3", "--slope-t", "1/2", "--point=-1/6",
+                         "--depth", "3"]),
+}
+PAYLOAD_START = {"csv": ("lo,hi\n", "n,scale,count\n"), "svg": ("<svg",),
+                 "dot": ("digraph gds {",)}
+
+
+class TestFormats:
+    @pytest.mark.parametrize("command,fmt", [
+        (command, fmt) for command, (formats, _) in FORMATS.items()
+        for fmt in ("json", *formats)])
+    def test_accepted_format(self, capsys, command, fmt):
+        code, out = run(capsys, command, *FORMATS[command][1], "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["command"] == command
+        else:
+            assert out.startswith(PAYLOAD_START[fmt])
+
+    @pytest.mark.parametrize("command,fmt", [
+        (command, fmt) for command, (formats, _) in FORMATS.items()
+        for fmt in ("csv", "svg", "dot") if fmt not in formats])
+    def test_rejected_format(self, capsys, command, fmt):
+        # e.g. classify --format svg and gds-dim --format dot used to print JSON
+        code, report = run_json(capsys, command, *FORMATS[command][1], "--format", fmt)
+        assert code == 1
+        assert report["error"]["code"] == "parse-error"
+        assert f"invalid choice: '{fmt}'" in report["error"]["message"]
+
+
+def test_negative_k_window_is_out_of_range(capsys):
+    # it used to answer NotVisible with exit code 0
+    code, report = run_json(capsys, "visible", "--lambda", "1/3", "--alpha", "1/2",
+                            "--k-window", "-50")
+    assert code == 1
+    assert report["error"] == {"code": "out-of-range",
+                               "message": "scale window must be nonnegative, got -50"}
+
+
+GOLDEN = {
+    "quotient-cover --lambda 1/5 --depth 3 --format svg":
+        (0, "3112392cf05f2fa253826266e8dfe447fb72d2a6142ba893dc2da986afdf69d9"),
+    "project --lambda 1/3 --slope-t 1/2 --format svg":
+        (0, "f44e7ad2d4bcf2dc07f43bc787eb6a25e77450a2f502535f96ffc2560cfdf1b3"),
+    "gds --lambda 1/3 --slope-t 1/2 --format svg":
+        (0, "c8faf5379b2c2fee98562c10f6c9a01ac8046469fa753b47b7e647adf34ade86"),
+    "boxdim --lambda 1/4 --family basic --n-min 2 --n-max 5 --format csv":
+        (0, "58b1c91396bc9263986ac2d1999835ab1ea56cda53cb1db397703b338c527e15"),
+    "boxdim --lambda 1/5 --family quotient --n-min 2 --n-max 5 --format csv":
+        (0, "8cb8af9e91611f684bc4b97e20f2d618c1a808d684f57c40b83614056d4db3c8"),
+    "visible-set --lambda 1/5 --k-window 1 --depth 4":
+        (0, "ace3996738733f59cf0ffdeb778c2e656239df9db99091bb18608227d1333278"),
+    "key2-check --lambda 1/3 --interval-i 2/9,1/3 --interval-j 2/3,7/9":
+        (0, "6aa0fcfe27a883a3bf363381789d7de79d176d4c0a930300a897f59701bb47ba"),
+    "gds --lambda 7/20 --slope-t 1/2 --budget 50":
+        (2, "28515da54f601e06072f8b00b2c2afd5ebbf503fbee78028e6be5d6f6c87f211"),
+    "gds-dim --lambda 7/20 --slope-t 1/2 --budget 50":
+        (2, "0054b4f6011fff5f0f7845c567bd84b0b514280104b8ad3c4825a5aa794c2389"),
+    "orbits --lambda 1/3 --slope-t 1/2 --point 0 --budget 0":
+        (1, "304487ab96e1b5d28a42f5fc344c8f87e92e9890c438f2e3938b67efeaa621d3"),
+    "boxdim --lambda 1/4 --n-min 5 --n-max 5":
+        (1, "38c6bcc3991ded4909643d46381672952ae4e9823cfd2d461eff57875f5f001d"),
+}
+
+
+@pytest.mark.parametrize("example", list(GOLDEN))
+def test_output_is_unchanged(example, capsys):
+    """CLI paths the README examples do not cover give byte-identical output.
+
+    The digests are SHA-256 of stdout, recorded at commit 3e15916, before the
+    command table replaced the per-command parser blocks and handler tuples.
+    """
+    code, out = run(capsys, *shlex.split(example))
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[example]

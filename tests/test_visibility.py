@@ -225,6 +225,11 @@ class TestVisibleQuery:
         with pytest.raises(NegativeSlope):
             visible_query(F(1, 3), F(-1, 2))
 
+    def test_negative_window_rejected(self):
+        # as in visible_set and ratio_set_structure; it used to answer NotVisible
+        with pytest.raises(OutOfRange, match="scale window must be nonnegative"):
+            visible_query(F(1, 3), F(1, 2), k_window=-50)
+
     def test_scale_gap_below_third(self):
         # 17/10 falls between the hull at scale 0 and the hull at scale -1
         ans = visible_query(F(1, 5), F(17, 10), n=3)
