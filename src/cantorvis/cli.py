@@ -263,12 +263,10 @@ def _cmd_gds(args):
 
 def _cmd_gds_dim(args):
     system, _, _ = gdsmod.gds_from_dynamics(_ifs(args), budget=args.budget)
-    rho = gdsmod.spectral_radius(system.adjacency)
+    rho = gdsmod.spectral_radius(system.adjacency).value
     result = {
-        "dimension": _approx(gdsmod.gds_dimension(system)),
-        "spectral_radius": _approx(rho.value),
-        "iterations": rho.iterations,
-        "residual": _approx(rho.residual),
+        "dimension": _approx(gdsmod._dimension(rho, system.lam)),
+        "spectral_radius": _approx(rho),
         "n_states": system.n_states,
         "n_edges": len(system.edges),
     }

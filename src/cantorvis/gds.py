@@ -15,9 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import ClosureNotFinite, EmptySystem, OutOfAttractor
 from .exact import Interval, RationalLike, as_rational, format_rational
@@ -161,57 +160,145 @@ def gds_from_dynamics(ifs: ProjectionIfs, budget: int = 10_000,
 
 @dataclass(frozen=True)
 class SpectralRadius:
+    """Perron root `value` (correctly rounded) with `lo <= rho <= hi` exact."""
+
     value: float
-    iterations: int
-    residual: float
+    lo: Fraction
+    hi: Fraction
 
 
-def spectral_radius(matrix: Sequence[Sequence[int]], tol: float = 1e-12,
-                    max_iter: int = 200_000) -> SpectralRadius:
-    """Perron root of a nonnegative matrix by power iteration.
+def spectral_radius(matrix: Sequence[Sequence[int]]) -> SpectralRadius:
+    """Exact Perron root of a nonnegative integer matrix.
 
-    Iterates on A + I (same eigenvectors, radius shifted by one) so periodic
-    edge structures cannot make the Rayleigh quotient oscillate. Convergence
-    requires the quotient to move by at most `tol` AND the eigen-residual to
-    be small; a quotient plateau alone can fire long before the eigenvector
-    settles when the spectral gap is thin. Defective spectra decay only like
-    1/k, so the reported residual is the honest quality measure.
+    rho is the largest radius over the strongly connected blocks (Mauldin &
+    Williams). A one-state block's radius is its diagonal entry, so an acyclic
+    graph gets 0 exactly. A larger block is irreducible with a cycle, so its
+    radius is the largest real root of its characteristic polynomial and lies
+    in [1, R] for R its largest row sum; Sturm bisection isolates that root
+    until both ends round to the same float.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
+    a = [list(row) for row in matrix]
+    n = len(a)
+    if n == 0:
         raise EmptySystem("empty adjacency matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if (a < 0).any():
-        raise ValueError("adjacency entries must be nonnegative")
-    b = a + np.eye(a.shape[0])
-    v = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
-    rq_prev = math.inf
-    iterations = 0
-    rq = 1.0
-    residual = math.inf
-    for iterations in range(1, max_iter + 1):
-        w = b @ v
-        v = w / np.linalg.norm(w)
-        bv = b @ v
-        rq = float(v @ bv)
-        residual = float(np.linalg.norm(bv - rq * v, ord=np.inf))
-        if (abs(rq - rq_prev) <= tol * max(1.0, abs(rq))
-                and residual <= 1e-10 * max(1.0, abs(rq))):
+    if any(len(row) != n for row in a):
+        raise ValueError("adjacency must be square")
+    if any(not isinstance(x, int) or x < 0 for row in a for x in row):
+        raise ValueError("adjacency entries must be nonnegative integers")
+    brackets = [_block_radius([[a[i][j] for j in block] for i in block])
+                for block in _strong_blocks(a)]
+    lo = max(b[0] for b in brackets)
+    hi = max(b[1] for b in brackets)
+    return SpectralRadius(float(lo), lo, hi)
+
+
+def _strong_blocks(a: list[list[int]]) -> list[list[int]]:
+    """Strongly connected blocks of the graph with an edge i -> j when a[i][j]."""
+    n = len(a)
+    reach = [sum(1 << j for j in range(n) if a[i][j]) for i in range(n)]
+    for k in range(n):  # Warshall closure on bit rows
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    blocks, placed = [], set()
+    for i in range(n):
+        if i not in placed:
+            block = [j for j in range(n)
+                     if j == i or (reach[i] >> j & 1 and reach[j] >> i & 1)]
+            placed.update(block)
+            blocks.append(block)
+    return blocks
+
+
+def _block_radius(a: list[list[int]]) -> tuple[Fraction, Fraction]:
+    """Bracket [lo, hi] of the Perron root of one strongly connected block.
+
+    Every bisection point is 2/3 + R*j/2^k, never an integer, and a rational
+    root of the monic integer characteristic polynomial is an integer, so no
+    point probed is a root and the Sturm counts are always defined. The loop
+    ends because rho is an integer (a float) or irrational (not a tie).
+    """
+    if len(a) == 1:
+        return Fraction(a[0][0]), Fraction(a[0][0])
+    chain = _sturm_chain(_charpoly(a))
+    lo = Fraction(2, 3)
+    hi = max(map(sum, a)) + lo
+    above = _sign_changes(chain, hi)
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        if _sign_changes(chain, mid) > above:  # a root lies in (mid, hi)
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _charpoly(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - a), highest degree first (Faddeev-LeVerrier).
+
+    M_k = a M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(a M_k)/k, where the
+    division is exact because every coefficient is an integer.
+    """
+    n = len(a)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        coeffs.append(-sum(sum(x * y for x, y in zip(a[i], col))
+                           for i, col in enumerate(zip(*m))) // k)
+    return coeffs
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then negated remainders, each scaled to a primitive integer
+    polynomial by a positive factor (which keeps every sign)."""
+    deg = len(p) - 1
+    chain = [p, [c * (deg - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        r = [Fraction(c) for c in chain[-2]]
+        d = chain[-1]
+        while len(r) >= len(d):
+            q = r[0] / d[0]
+            r = [x - q * y for x, y in zip_longest(r, d, fillvalue=0)][1:]
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
             break
-        rq_prev = rq
-    return SpectralRadius(max(rq - 1.0, 0.0), iterations, residual)
+        scale = math.lcm(*(c.denominator for c in r))
+        ints = [-int(c * scale) for c in r]
+        g = math.gcd(*ints)
+        chain.append([c // g for c in ints])
+    return chain
+
+
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the chain at x, zeros skipped; each member is
+    evaluated as den^deg * f(num/den), which has the sign of f(x)."""
+    num, den = x.numerator, x.denominator
+    signs = []
+    for f in chain:
+        v, dpow = f[0], 1
+        for c in f[1:]:
+            dpow *= den
+            v = v * num + c * dpow
+        if v:
+            signs.append(v > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _dimension(rho: float, lam: Fraction) -> float:
+    # nonnegative integer matrices have Perron root 0 or >= 1
+    return 0.0 if rho <= 1.0 else math.log(rho) / (-math.log(float(lam)))
 
 
 def gds_dimension(g: GraphDirectedSystem) -> float:
     """log(rho)/(-log lam) for the edge-count matrix; 0.0 for rho <= 1."""
     if not g.states:
         raise EmptySystem("graph-directed system has no states")
-    rho = spectral_radius(g.adjacency).value
-    if rho <= 1.0:
-        # nonnegative integer matrices have Perron root 0 or >= 1
-        return 0.0
-    return math.log(rho) / (-math.log(float(g.lam)))
+    return _dimension(spectral_radius(g.adjacency).value, g.lam)
 
 
 def univoque_dimension_estimate(ifs: ProjectionIfs,

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .exact import IntervalSet, format_rational
 
 _BAR_FILL = "#2b6cb0"
 _AXIS = "#444444"
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def svg_interval_sets(rows: Sequence[tuple[str, IntervalSet]], *, width: int = 900,
@@ -22,7 +25,7 @@ def svg_interval_sets(rows: Sequence[tuple[str, IntervalSet]], *, width: int = 9
            f'height="{height}" viewBox="0 0 {width} {height}">']
     if title:
         out.append(f'<text x="{margin}" y="24" font-size="15" '
-                   f'font-family="monospace">{escape(title)}</text>')
+                   f'font-family="monospace">{_escape(title)}</text>')
     if not hulls:
         out.append(f'<text x="{margin}" y="{margin}" font-size="13" '
                    f'font-family="monospace">(empty)</text>')
@@ -45,7 +48,7 @@ def svg_interval_sets(rows: Sequence[tuple[str, IntervalSet]], *, width: int = 9
     for idx, (label, s) in enumerate(rows):
         y = margin + idx * row_height
         out.append(f'<text x="8" y="{y + 14}" font-size="12" '
-                   f'font-family="monospace">{escape(label)}</text>')
+                   f'font-family="monospace">{_escape(label)}</text>')
         for part in s.parts:
             x0 = x_of(part.lo)
             w = max(x_of(part.hi) - x0, 1.0)

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from statistics import linear_regression
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .cantor import CantorParams, endpoint_rank, ensure_depth, validated_lambda
 from .errors import (InsufficientScales, LengthMismatch, NegativeSlope,
@@ -532,10 +531,9 @@ def box_dim_estimate(covers: Sequence[tuple[RationalLike, IntervalSet]]) -> BoxD
     counts = [box_count(cover, s) for s, (_, cover) in zip(scales, covers)]
     if any(c <= 0 for c in counts):
         raise InsufficientScales("every cover must be nonempty")
-    xs = np.array([-math.log(float(s)) for s in scales])
-    ys = np.array([math.log(c) for c in counts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residuals = ys - (slope * xs + intercept)
-    return BoxDimEstimate(float(slope), float(intercept),
-                          float(np.max(np.abs(residuals))),
+    xs = [-math.log(float(s)) for s in scales]
+    ys = [math.log(c) for c in counts]
+    slope, intercept = linear_regression(xs, ys)
+    max_residual = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
+    return BoxDimEstimate(slope, intercept, max_residual,
                           tuple(scales), tuple(counts))

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorvis.errors import ClosureNotFinite, EmptySystem
 from cantorvis.exact import Interval
@@ -70,7 +72,7 @@ class TestBuild:
         assert system.n_states == 4
         assert all(all(c == 1 for c in row) for row in system.adjacency)
         rho = spectral_radius(system.adjacency)
-        assert abs(rho.value - 4.0) < 1e-9
+        assert rho.value == 4.0 and rho.lo <= 4 <= rho.hi
         assert abs(gds_dimension(system) - 1.0) < 1e-9
 
     def test_closure_not_finite_raises(self):
@@ -117,6 +119,14 @@ class TestDimension:
         rho_pi = spectral_radius(system.adjacency).value
         assert abs(rho_np - rho_pi) < 1e-9
 
+    @pytest.mark.parametrize("t", [F(3, 5), F(5, 3), F(4, 7)])
+    def test_defective_spectra_have_dimension_zero(self, t):
+        # every strongly connected block is one state with a single self-loop
+        system, _, _ = gds_from_dynamics(build_projection_ifs(F(1, 3), t))
+        rho = spectral_radius(system.adjacency)
+        assert rho.lo == rho.hi == 1 and rho.value == 1.0
+        assert gds_dimension(system) == 0.0
+
     def test_empirical_estimate_matches(self):
         ifs, system, _, _ = third_half_system()
         est = univoque_dimension_estimate(ifs, range(8, 13))
@@ -145,32 +155,88 @@ class TestDimension:
         assert abs(gds_dimension(g) - math.log(4) / math.log(5)) < 1e-12
 
 
+def numpy_block_radius(mat) -> float:
+    """numpy's largest |eigenvalue| over the strongly connected blocks.
+
+    A reducible matrix whose Perron root repeats across blocks has a defective
+    spectrum, where LAPACK's eigenvalues are only good to about sqrt(eps)
+    (7e-6 relative on an 8x8 example). A block's Perron root is simple, so the
+    oracle takes eigenvalues block by block, with reachability from numpy.
+    """
+    a = np.array(mat, dtype=np.int64)
+    n = len(a)
+    reach = np.linalg.matrix_power(np.eye(n, dtype=np.int64) + (a > 0), n) > 0
+    strong = reach & reach.T
+    return max(max(abs(np.linalg.eigvals(a[np.ix_(row, row)].astype(float))))
+               for row in strong)
+
+
+square_matrices = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
 class TestSpectralRadius:
     def test_periodic_matrix_converges(self):
-        # plain power iteration oscillates on a 2-cycle; the shift must not
         rho = spectral_radius(((0, 1), (1, 0)))
-        assert abs(rho.value - 1.0) < 1e-9
+        assert rho.value == 1.0 and rho.lo < 1 < rho.hi
 
     def test_nilpotent(self):
-        # defective eigenvalue: the Rayleigh quotient closes in only like 1/k,
-        # so the guarantee here is loose; gds_dimension clamps rho <= 1 to 0
         rho = spectral_radius(((0, 1), (0, 0)))
-        assert abs(rho.value - 0.0) < 1e-4
+        assert rho.value == 0
+        assert rho.lo == rho.hi == 0
         g = GraphDirectedSystem(F(1, 3), (Interval(0, 1), Interval(2, 3)),
                                 (Edge(0, 1, 1),),
                                 Separation.OPEN_SET_CONDITION, ((0, 1), (0, 0)))
         assert gds_dimension(g) == 0.0
 
+    def test_acyclic_is_exactly_zero(self):
+        rng = random.Random(5)
+        n = 7
+        order = rng.sample(range(n), n)
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[order[i]][order[j]] = rng.randrange(0, 4)
+        rho = spectral_radius(mat)
+        assert (rho.value, rho.lo, rho.hi) == (0.0, 0, 0)
+
     def test_random_matrices_match_numpy(self):
-        # defective spectra (repeated Perron root with Jordan blocks) limit
-        # plain power iteration to ~1/k convergence, hence the loose bound
         rng = random.Random(19)
         for _ in range(20):
             n = rng.randrange(2, 7)
             mat = [[rng.randrange(0, 4) for _ in range(n)] for _ in range(n)]
             expected = max(abs(np.linalg.eigvals(np.array(mat, dtype=float))))
             got = spectral_radius(mat).value
-            assert abs(got - expected) < 1e-4
+            assert abs(got - expected) <= 1e-9 * expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(mat=square_matrices, data=st.data())
+    def test_certificate_brackets_numpy(self, mat, data):
+        rho = spectral_radius(mat)
+        assert rho.lo <= rho.hi
+        assert float(rho.lo) == rho.value == float(rho.hi)
+        expected = numpy_block_radius(mat)
+        slack = 1e-12 * expected
+        assert rho.lo - slack <= expected <= rho.hi + slack
+        perm = data.draw(st.permutations(range(len(mat))))
+        assert spectral_radius([[mat[i][j] for j in perm] for i in perm]) == rho
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=square_matrices, b=square_matrices)
+    def test_block_diagonal_takes_the_larger_radius(self, a, b):
+        n, m = len(a), len(b)
+        diag = ([row + [0] * m for row in a] + [[0] * n + row for row in b])
+        ra, rb = spectral_radius(a), spectral_radius(b)
+        rho = spectral_radius(diag)
+        assert rho.value == max(ra.value, rb.value)
+        assert (rho.lo, rho.hi) == (max(ra.lo, rb.lo), max(ra.hi, rb.hi))
+
+    @pytest.mark.parametrize("mat", [[[1, 2]], [[1], [2, 3]], [[0, -1], [1, 0]],
+                                     [[0.5, 1], [1, 0]]])
+    def test_malformed_rejected(self, mat):
+        with pytest.raises(ValueError):
+            spectral_radius(mat)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySystem):

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cantorvis.cantor import CantorParams, basic_intervals
@@ -347,6 +349,22 @@ class TestBoxDim:
         est = box_dim_estimate(covers)
         assert abs(est.slope - 0.5) < 1e-9
         assert est.max_residual < 1e-9
+
+    @pytest.mark.parametrize("lam", [F(1, 5), F(1, 4), F(2, 7), F(3, 10),
+                                     F(7, 20), F(1, 3), F(2, 5), F(23, 97)])
+    def test_fit_matches_numpy_polyfit(self, lam):
+        p = CantorParams(lam)
+        families = [[(lam ** n, basic_intervals(p, n)) for n in range(2, 9)],
+                    [(lam ** n, quotient_core_cover(lam, n)) for n in range(2, 6)]]
+        for covers in families:
+            est = box_dim_estimate(covers)
+            xs = np.array([-math.log(float(s)) for s in est.scales])
+            ys = np.log(np.array(est.counts, dtype=float))
+            slope, intercept = np.polyfit(xs, ys, 1)
+            residual = np.max(np.abs(ys - (slope * xs + intercept)))
+            assert abs(est.slope - slope) < 1e-12
+            assert abs(est.intercept - intercept) < 1e-12
+            assert abs(est.max_residual - residual) < 1e-12
 
     def test_insufficient_scales(self):
         s = IntervalSet([Interval(0, 1)])
