@@ -13,7 +13,7 @@ from .cantor import (CantorParams, Coding, IfsMap, Membership,
                      endpoint_rank, membership, refine_tilde, window_gn)
 from .exact import (Interval, IntervalSet, Rational, affine_image,
                     as_rational, format_rational, interval_quotient,
-                    normalize_union, parse_rational)
+                    parse_rational)
 from .gds import (Edge, GraphDirectedSystem, Separation, SpectralRadius,
                   build_gds, gds_dimension, gds_from_dynamics,
                   spectral_radius, univoque_dimension_estimate)
@@ -36,7 +36,7 @@ __all__ = [
     "errors", "__version__",
     # exact core
     "Rational", "Interval", "IntervalSet", "as_rational", "parse_rational",
-    "format_rational", "normalize_union", "interval_quotient", "affine_image",
+    "format_rational", "interval_quotient", "affine_image",
     # cantor system
     "CantorParams", "IfsMap", "Coding", "basic_intervals", "refine_tilde",
     "window_gn", "membership", "Membership", "MembershipResult",

@@ -191,7 +191,6 @@ def _cmd_boxdim(args):
 
 def _cmd_project(args):
     ifs = _ifs(args)
-    regs = slmod.overlap_regions(ifs)
     result = {
         "lambda": _q(ifs.lam),
         "slope_t": _q(ifs.slope_t),
@@ -205,11 +204,11 @@ def _cmd_project(args):
         "overlaps": [{"interval": _iv(r.interval),
                       "maps": [r.left_label, r.right_label],
                       "degenerate": r.degenerate}
-                     for r in regs.regions],
+                     for r in ifs.regions.regions],
     }
     return EXIT_OK, result, {"svg": lambda: svg_interval_sets(
         [(f"g{label}", IntervalSet([img])) for label, img in ifs.images()]
-        + [("overlaps", regs.hole_set())],
+        + [("overlaps", ifs.regions.hole_set())],
         title=f"projection images, lambda={_q(ifs.lam)}, t={_q(ifs.slope_t)}")}
 
 

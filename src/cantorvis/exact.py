@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import NonPositiveDenominator, ParseError, ZeroRatio
+from .errors import NonPositiveDenominator, OutOfRange, ParseError, ZeroRatio
 
 Rational = Fraction
 
@@ -54,10 +54,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as "p/q", or plain "n" for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render as "p/q", or plain "n" for integers; a numeral longer than the
+    interpreter's int-to-str digit limit raises OutOfRange."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise OutOfRange(f"numeral too long to print: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -217,11 +221,6 @@ class IntervalSet:
         if cursor < window.hi:
             pieces.append(Interval(cursor, window.hi))
         return IntervalSet(pieces)
-
-
-def normalize_union(intervals: Iterable[Interval]) -> IntervalSet:
-    """Minimal sorted disjoint cover of the union of the inputs."""
-    return IntervalSet(intervals)
 
 
 def interval_quotient(dividend: Interval, divisor: Interval) -> Interval:

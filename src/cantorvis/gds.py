@@ -18,12 +18,11 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
-from .errors import ClosureNotFinite, EmptySystem, OutOfAttractor
-from .exact import Interval, RationalLike, as_rational, format_rational
+from .errors import ClosureNotFinite, EmptySystem
+from .exact import Interval, RationalLike, format_rational
 from .slices import (Prop1Report, Prop2Report, ProjectionIfs, Verdict,
-                     _endpoint_orbits, _prop1_report, _prop2_report,
-                     inverse_closure, overlap_regions, prop1_check,
-                     survivor_cover)
+                     _attractor_point, _endpoint_orbits, _prop1_report,
+                     _prop2_report, inverse_closure, prop1_check, survivor_cover)
 from .visibility import BoxDimEstimate, box_dim_estimate
 
 
@@ -90,22 +89,15 @@ def build_gds(ifs: ProjectionIfs, closure: Iterable[RationalLike], *,
     state lands inside a single state. When `strong_separation` is None the
     endpoint hole-return check decides the separation flag.
     """
-    regs = overlap_regions(ifs)
-    seeds: set[Fraction] = set()
-    for c in closure:
-        c = as_rational(c)
-        if not ifs.attractor.contains(c):
-            raise OutOfAttractor(f"cut point {format_rational(c)} outside the attractor")
-        seeds.add(c)
+    seeds = {_attractor_point(ifs, c) for c in closure}
     seeds.update((ifs.attractor.lo, ifs.attractor.hi))
-    for _, point in regs.endpoints():
-        seeds.add(point)
-    words, _, saturated = inverse_closure(ifs, seeds, budget, regs)
+    seeds.update(point for _, point in ifs.regions.endpoints())
+    parents, _, saturated = inverse_closure(ifs, seeds, budget)
     if not saturated:
         raise ClosureNotFinite(f"cut-point closure exceeded the budget {budget}")
-    cuts = sorted(words)
+    cuts = sorted(parents)
     pieces = [Interval(u, v) for u, v in zip(cuts, cuts[1:])]
-    holes = [r.interval for r in regs.regions if not r.degenerate]
+    holes = ifs.regions.holes
     states = tuple(p for p in pieces
                    if not any(h.contains_interval(p) for h in holes))
     state_los = [s.lo for s in states]

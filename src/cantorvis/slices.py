@@ -17,16 +17,14 @@ degenerate (single-point) overlaps never count as holes.
 from __future__ import annotations
 
 import warnings
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .cantor import CantorParams, IfsMap, UNIT, refine_to_depth, validated_lambda
 from .errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
-from .exact import (Interval, IntervalSet, RationalLike, as_rational,
-                    format_rational, normalize_union)
+from .exact import Interval, IntervalSet, RationalLike, as_rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -35,6 +33,8 @@ class ProjectionIfs:
 
     `effective` lists the 1-based labels kept after removing coincident maps
     (t == 1 makes two shifts collide); `degenerate` marks that reduction.
+    `build_projection_ifs` computes the attractor's images (`map_images[j - 1]`
+    under map j), the effective labels in image `order` and the overlap regions.
     """
 
     lam: Fraction
@@ -43,18 +43,26 @@ class ProjectionIfs:
     attractor: Interval
     effective: tuple[int, ...]
     degenerate: bool
+    map_images: tuple[Interval, Interval, Interval, Interval]
+    order: tuple[int, ...]
+    regions: OverlapRegions
 
     def map_for(self, label: int) -> IfsMap:
         return self.maps[label - 1]
 
     def image(self, label: int) -> Interval:
-        return self.map_for(label).apply_interval(self.attractor)
+        return self.map_images[label - 1]
 
     def images(self) -> tuple[tuple[int, Interval], ...]:
-        return tuple((label, self.image(label)) for label in self.effective)
+        return tuple((label, self.map_images[label - 1]) for label in self.effective)
 
     def sorted_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.effective, key=lambda l: (self.image(l).lo, l)))
+        return self.order
+
+    def labels_at(self, x: Fraction) -> tuple[int, ...]:
+        """The effective labels, in label order, whose image contains x."""
+        return tuple(label for label in self.effective
+                     if self.map_images[label - 1].contains(x))
 
     def inverse(self, label: int, x: RationalLike) -> Fraction:
         return self.map_for(label).invert(x)
@@ -75,43 +83,39 @@ def build_projection_ifs(lam: RationalLike, t: RationalLike) -> ProjectionIfs:
     shifts = (-(1 - lam) * t, (1 - lam) * (1 - t), Fraction(0), 1 - lam)
     maps = tuple(IfsMap(lam, s) for s in shifts)
     attractor = Interval(-t, 1)
-    images = [m.apply_interval(attractor) for m in maps]
-    if normalize_union(images) != IntervalSet([attractor]):
+    images = tuple(m.apply_interval(attractor) for m in maps)
+    if IntervalSet(images) != IntervalSet([attractor]):
         raise NotIntervalAttractor(
             f"images do not cover [{format_rational(-t)}, 1] at "
             f"lambda={format_rational(lam)}, t={format_rational(t)}")
-    seen: dict[tuple[Fraction, Fraction], int] = {}
-    effective: list[int] = []
-    for label, m in enumerate(maps, start=1):
-        key = (m.ratio, m.shift)
-        if key in seen:
-            continue
-        seen[key] = label
-        effective.append(label)
+    effective = [label for label, m in enumerate(maps, start=1)
+                 if m not in maps[:label - 1]]
     degenerate = len(effective) < 4
     if degenerate:
         warnings.warn(
             f"coincident maps at t={format_rational(t)}: reduced to labels {effective}",
             RuntimeWarning, stacklevel=2)
-    ifs = ProjectionIfs(lam, t, maps, attractor, tuple(effective), degenerate)
+    order = tuple(sorted(effective, key=lambda l: (images[l - 1].lo, l)))
+    regions: list[OverlapRegion] = []
+    for left, right in zip(order, order[1:]):
+        inter = images[left - 1].intersection(images[right - 1])
+        if inter is None:
+            raise RuntimeError("image chain broken; covering check should prevent this")
+        regions.append(OverlapRegion(inter, left, right))
     if not degenerate and t >= 1:
-        _check_printed_overlaps(ifs)
-    return ifs
-
-
-def _check_printed_overlaps(ifs: ProjectionIfs) -> None:
-    # closed forms valid for t >= 1, where the images sort in label order
-    lam, t = ifs.lam, ifs.slope_t
-    expected = (
-        Interval(1 - lam - t, lam - (1 - lam) * t),
-        Interval(-lam * t, 1 - (1 - lam) * t),
-        Interval(1 - lam - lam * t, lam),
-    )
-    computed = tuple(r.interval for r in overlap_regions(ifs).regions)
-    if computed != expected:
-        raise RuntimeError(
-            f"overlap formulas disagree with pairwise intersections: "
-            f"{computed} vs {expected}")
+        # closed forms valid for t >= 1, where the images sort in label order
+        expected = (
+            Interval(1 - lam - t, lam - (1 - lam) * t),
+            Interval(-lam * t, 1 - (1 - lam) * t),
+            Interval(1 - lam - lam * t, lam),
+        )
+        computed = tuple(r.interval for r in regions)
+        if computed != expected:
+            raise RuntimeError(
+                f"overlap formulas disagree with pairwise intersections: "
+                f"{computed} vs {expected}")
+    return ProjectionIfs(lam, t, maps, attractor, tuple(effective), degenerate,
+                         images, order, OverlapRegions(tuple(regions)))
 
 
 @dataclass(frozen=True)
@@ -127,19 +131,24 @@ class OverlapRegion:
 
 @dataclass(frozen=True)
 class OverlapRegions:
-    """Intersections of consecutive (left-endpoint sorted) map images."""
+    """Intersections of consecutive (left-endpoint sorted) map images; `holes`
+    holds the intervals of the nondegenerate ones."""
 
     regions: tuple[OverlapRegion, ...]
+    holes: tuple[Interval, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "holes", tuple(
+            r.interval for r in self.regions if not r.degenerate))
 
     def hole_set(self) -> IntervalSet:
         """Closed union of the nondegenerate overlaps."""
-        return IntervalSet(r.interval for r in self.regions if not r.degenerate)
+        return IntervalSet(self.holes)
 
     def hits(self, x: RationalLike) -> bool:
         """Half-open hole membership: lo <= x < hi on nondegenerate regions."""
         x = as_rational(x)
-        return any(r.interval.lo <= x < r.interval.hi
-                   for r in self.regions if not r.degenerate)
+        return any(h.lo <= x < h.hi for h in self.holes)
 
     def endpoints(self) -> tuple[tuple[str, Fraction], ...]:
         out: list[tuple[str, Fraction]] = []
@@ -156,24 +165,21 @@ def overlap_regions(ifs: ProjectionIfs) -> OverlapRegions:
     equal length, any non-consecutive intersection is contained in the
     consecutive ones, so this union is the full multi-branch region.
     """
-    labels = ifs.sorted_labels()
-    regions: list[OverlapRegion] = []
-    for left, right in zip(labels, labels[1:]):
-        inter = ifs.image(left).intersection(ifs.image(right))
-        if inter is None:
-            raise RuntimeError("image chain broken; covering check should prevent this")
-        regions.append(OverlapRegion(inter, left, right))
-    return OverlapRegions(tuple(regions))
+    return ifs.regions
 
 
 def admissible_branches(ifs: ProjectionIfs, x: RationalLike) -> tuple[int, ...]:
     """Labels j with x in the j-th image; at least one inside the attractor,
     two or more exactly on the overlap region."""
+    return ifs.labels_at(_attractor_point(ifs, x))
+
+
+def _attractor_point(ifs: ProjectionIfs, x: RationalLike) -> Fraction:
     x = as_rational(x)
     if not ifs.attractor.contains(x):
         raise OutOfAttractor(
             f"{format_rational(x)} outside [{format_rational(ifs.attractor.lo)}, 1]")
-    return tuple(label for label in ifs.effective if ifs.image(label).contains(x))
+    return x
 
 
 class OrbitStatus(Enum):
@@ -182,72 +188,79 @@ class OrbitStatus(Enum):
     BUDGET_EXCEEDED = "BudgetExceeded"
 
 
+Parents = dict[Fraction, Optional[tuple[Fraction, int]]]
+
+
+def _word(parents: Parents, point: Fraction) -> tuple[int, ...]:
+    labels: list[int] = []
+    while parents[point] is not None:
+        point, label = parents[point]
+        labels.append(label)
+    return tuple(reversed(labels))
+
+
 @dataclass
 class OrbitClosure:
     """Breadth-first closure of a point under all admissible inverse branches.
 
-    `words[p]` is a shortest branch word sending the start to p (empty for
-    the start itself). `witness_to_hole` is the first hole-hitting word in
-    breadth-first order; `saturated` records whether the closure is complete,
-    which HITS_HOLE alone does not imply.
+    `parents` holds one parent pointer per point (see `inverse_closure`), and
+    `word(p)` follows them to a shortest branch word sending the start to p.
+    `witness_to_hole` is the first hole-hitting word in breadth-first order;
+    `saturated` records whether the closure is complete, which HITS_HOLE
+    alone does not imply.
     """
 
     start: Fraction
     status: OrbitStatus
     witness_to_hole: Optional[tuple[int, ...]]
     visited: tuple[Fraction, ...]
-    words: dict[Fraction, tuple[int, ...]]
+    parents: Parents
     saturated: bool
+
+    def word(self, point: Fraction) -> tuple[int, ...]:
+        """A shortest branch word sending the start to `point`; () for the start."""
+        return _word(self.parents, point)
 
 
 def inverse_closure(ifs: ProjectionIfs, seeds: Iterable[Fraction],
-                    budget: int = 10_000, regions: Optional[OverlapRegions] = None,
-                    ) -> tuple[dict[Fraction, tuple[int, ...]],
-                               Optional[tuple[int, ...]], bool]:
+                    budget: int = 10_000,
+                    ) -> tuple[Parents, Optional[tuple[int, ...]], bool]:
     """Close the seeds under every admissible inverse branch, breadth first.
 
-    Returns (words, witness, saturated). `words[p]` is a shortest branch word
-    sending some seed to p (empty for the seeds themselves), so its keys are
-    the closure. Branches are taken in label order, so results are
-    deterministic. Hole hits are checked on every proper image, revisits
-    included, and `witness` is the first hole-hitting word in breadth-first
-    order; the seeds themselves never count. Exploration continues through
-    hole hits; it stops only at saturation or when a new point would grow
-    the closure past `budget` points, which leaves `saturated` False.
+    Returns (parents, witness, saturated). The keys of `parents` are the
+    closure. Each maps to the parent pointer (q, label) by which the search
+    first reached it as the label-inverse image of q, or to None for a seed;
+    following the pointers spells a shortest branch word from a seed. Branches
+    are taken in label order, so results are deterministic. Hole hits are
+    checked on every proper image, revisits included, and `witness` is the
+    first hole-hitting word in breadth-first order; the seeds themselves never
+    count. Exploration continues through hole hits; it stops only at
+    saturation or when a new point would grow the closure past `budget`
+    points, which leaves `saturated` False.
     """
     if budget < 1:
         raise OutOfRange(f"budget must be positive, got {budget}")
-    regs = overlap_regions(ifs) if regions is None else regions
-    words: dict[Fraction, tuple[int, ...]] = dict.fromkeys(seeds, ())
-    queue: deque[Fraction] = deque(words)
+    parents: Parents = dict.fromkeys(seeds)
+    queue = list(parents)  # grows while the loop walks it: breadth-first order
     witness: Optional[tuple[int, ...]] = None
-    truncated = False
-    while queue and not truncated:
-        y = queue.popleft()
-        base = words[y]
-        for label in ifs.effective:
-            if not ifs.image(label).contains(y):
-                continue
+    for y in queue:
+        for label in ifs.labels_at(y):
             z = ifs.inverse(label, y)
-            if witness is None and regs.hits(z):
-                witness = base + (label,)
-            if z not in words:
-                if len(words) >= budget:
-                    truncated = True
-                    break
-                words[z] = base + (label,)
+            if witness is None and ifs.regions.hits(z):
+                witness = _word(parents, y) + (label,)
+            if z not in parents:
+                if len(parents) >= budget:
+                    return parents, witness, False
+                parents[z] = (y, label)
                 queue.append(z)
-    return words, witness, not truncated
+    return parents, witness, True
 
 
-def orbit_search(ifs: ProjectionIfs, x: RationalLike, budget: int = 10_000,
-                 regions: Optional[OverlapRegions] = None) -> OrbitClosure:
+def orbit_search(ifs: ProjectionIfs, x: RationalLike,
+                 budget: int = 10_000) -> OrbitClosure:
     """The inverse closure of the single point x (see `inverse_closure`)."""
-    x = as_rational(x)
-    if not ifs.attractor.contains(x):
-        raise OutOfAttractor(
-            f"{format_rational(x)} outside [{format_rational(ifs.attractor.lo)}, 1]")
-    words, witness, saturated = inverse_closure(ifs, (x,), budget, regions)
+    x = _attractor_point(ifs, x)
+    parents, witness, saturated = inverse_closure(ifs, (x,), budget)
     if witness is not None:
         status = OrbitStatus.HITS_HOLE
     elif not saturated:
@@ -255,7 +268,7 @@ def orbit_search(ifs: ProjectionIfs, x: RationalLike, budget: int = 10_000,
     else:
         status = OrbitStatus.FINITE_CLOSURE
     return OrbitClosure(start=x, status=status, witness_to_hole=witness,
-                        visited=tuple(sorted(words)), words=words,
+                        visited=tuple(sorted(parents)), parents=parents,
                         saturated=saturated)
 
 
@@ -313,9 +326,8 @@ class Prop2Report:
 
 
 def _endpoint_orbits(ifs: ProjectionIfs, budget: int) -> tuple[EndpointReport, ...]:
-    regs = overlap_regions(ifs)
-    return tuple(EndpointReport(label, point, orbit_search(ifs, point, budget, regs))
-                 for label, point in regs.endpoints())
+    return tuple(EndpointReport(label, point, orbit_search(ifs, point, budget))
+                 for label, point in ifs.regions.endpoints())
 
 
 def _prop1_report(reports: tuple[EndpointReport, ...]) -> Prop1Report:
@@ -352,13 +364,9 @@ def coding_count(ifs: ProjectionIfs, a: RationalLike, n: int) -> int:
     certificate; counts only reveal multiplicity, never hide it, since a
     second coding shows up as soon as the orbit can branch.
     """
-    a = as_rational(a)
-    if not ifs.attractor.contains(a):
-        raise OutOfAttractor(
-            f"{format_rational(a)} outside [{format_rational(ifs.attractor.lo)}, 1]")
+    a = _attractor_point(ifs, a)
     if n < 0:
         raise OutOfRange(f"depth must be nonnegative, got {n}")
-    images = {label: ifs.image(label) for label in ifs.effective}
     memo: dict[tuple[Fraction, int], int] = {}
 
     def count(x: Fraction, depth: int) -> int:
@@ -369,9 +377,8 @@ def coding_count(ifs: ProjectionIfs, a: RationalLike, n: int) -> int:
         if cached is not None:
             return cached
         total = 0
-        for label in ifs.effective:
-            if images[label].contains(x):
-                total += count(ifs.inverse(label, x), depth - 1)
+        for label in ifs.labels_at(x):
+            total += count(ifs.inverse(label, x), depth - 1)
         memo[key] = total
         return total
 
@@ -419,9 +426,7 @@ def survivor_cover(ifs: ProjectionIfs, n: int) -> IntervalSet:
     """
     if n < 0:
         raise OutOfRange(f"depth must be nonnegative, got {n}")
-    hole = overlap_regions(ifs).hole_set()
-    if hole.is_empty:
-        return IntervalSet([ifs.attractor])
+    hole = ifs.regions.hole_set()
     removed = hole
     for _ in range(n):
         mapped = [ifs.map_for(label).apply_interval(part)

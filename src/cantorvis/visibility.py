@@ -22,7 +22,7 @@ from .cantor import CantorParams, endpoint_rank, ensure_depth, validated_lambda
 from .errors import (InsufficientScales, LengthMismatch, NegativeSlope,
                      NonPositiveDenominator, OutOfRange)
 from .exact import (Interval, IntervalSet, RationalLike, affine_image,
-                    as_rational, format_rational, normalize_union)
+                    as_rational, format_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def key2_subintervals(lam: RationalLike, i: Interval, j: Interval) -> Key2Parts:
 def key2_check(lam: RationalLike, i: Interval, j: Interval) -> bool:
     """True iff the four refined sub-quotients union exactly to the full quotient."""
     pieces = key2_subintervals(lam, i, j)
-    return normalize_union(pieces.parts) == IntervalSet([pieces.full])
+    return IntervalSet(pieces.parts) == IntervalSet([pieces.full])
 
 
 def _window_lattice(lam: Fraction, n: int) -> tuple[int, list[int], int]:

@@ -262,9 +262,9 @@ class TestInternalErrors:
         report = json.loads(captured.out)
         assert code == 1
         assert report["command"] == "quotient-cover"
-        assert report["error"]["code"] == "internal"
-        assert report["error"]["message"].startswith("ValueError: ")
-        assert "Traceback" in captured.err
+        assert report["error"]["code"] == "out-of-range"
+        assert report["error"]["message"].startswith("numeral too long to print")
+        assert captured.err == ""
 
     def test_any_unexpected_exception_is_internal(self, capsys, monkeypatch):
         def broken(lam):

@@ -1,12 +1,12 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from cantorvis.errors import NonPositiveDenominator, ParseError, ZeroRatio
-from cantorvis.exact import (Interval, affine_image, as_rational,
-                             format_rational, interval_quotient,
-                             normalize_union, parse_rational)
+from cantorvis.errors import NonPositiveDenominator, OutOfRange, ParseError, ZeroRatio
+from cantorvis.exact import (Interval, IntervalSet, affine_image, as_rational,
+                             format_rational, interval_quotient, parse_rational)
 
 
 def iv(lo, hi):
@@ -32,6 +32,16 @@ class TestRationalLiterals:
         assert format_rational(F(2, 3)) == "2/3"
         assert format_rational(F(-5)) == "-5"
         assert parse_rational(format_rational(F(22, 7))) == F(22, 7)
+
+    def test_format_refuses_oversized_numerals(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int-to-str digit limit disabled")
+        big = 10 ** limit  # limit + 1 digits
+        for value in (F(big), F(1, big), F(-big, 7)):
+            with pytest.raises(OutOfRange, match="numeral too long to print"):
+                format_rational(value)
+        assert format_rational(F(big // 10, 3)) == f"{big // 10}/3"
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
@@ -63,47 +73,47 @@ class TestInterval:
 
 class TestNormalizeUnion:
     def test_already_disjoint(self):
-        s = normalize_union([Interval(0, F(1, 3)), Interval(F(2, 3), 1)])
+        s = IntervalSet([Interval(0, F(1, 3)), Interval(F(2, 3), 1)])
         assert s.parts == (Interval(0, F(1, 3)), Interval(F(2, 3), 1))
 
     def test_touching_merge(self):
-        s = normalize_union([Interval(0, F(1, 2)), Interval(F(1, 2), 1)])
+        s = IntervalSet([Interval(0, F(1, 2)), Interval(F(1, 2), 1)])
         assert s.parts == (Interval(0, 1),)
 
     def test_overlap_merge(self):
-        s = normalize_union([Interval(F(6, 7), F(7, 6)), Interval(F(2, 3), F(7, 8))])
+        s = IntervalSet([Interval(F(6, 7), F(7, 6)), Interval(F(2, 3), F(7, 8))])
         assert s.parts == (Interval(F(2, 3), F(7, 6)),)
 
     def test_idempotent(self):
         raw = [Interval(F(6, 7), F(7, 6)), Interval(F(2, 3), F(7, 8)), Interval(2, 3)]
-        once = normalize_union(raw)
-        again = normalize_union(once.parts)
+        once = IntervalSet(raw)
+        again = IntervalSet(once.parts)
         assert once == again
 
     def test_commutative_random(self):
         rng = random.Random(7)
         base = [Interval(F(rng.randrange(0, 50), 17), F(rng.randrange(50, 100), 17))
                 for _ in range(40)]
-        expected = normalize_union(base)
+        expected = IntervalSet(base)
         for _ in range(20):
             shuffled = base[:]
             rng.shuffle(shuffled)
-            assert normalize_union(shuffled) == expected
+            assert IntervalSet(shuffled) == expected
 
     def test_total_length_is_sum_of_parts(self):
-        s = normalize_union([Interval(0, 1), Interval(F(1, 2), 2), Interval(3, 4)])
+        s = IntervalSet([Interval(0, 1), Interval(F(1, 2), 2), Interval(3, 4)])
         assert s.total_length == sum((p.length for p in s.parts), F(0))
         assert s.total_length == F(3)
 
     def test_gaps_and_complement(self):
-        s = normalize_union([Interval(0, 1), Interval(2, 3)])
+        s = IntervalSet([Interval(0, 1), Interval(2, 3)])
         assert s.gaps() == (Interval(1, 2),)
         comp = s.complement_within(Interval(-1, 4))
         assert comp.parts == (Interval(-1, 0), Interval(1, 2), Interval(3, 4))
 
     def test_subset_of(self):
-        inner = normalize_union([Interval(F(1, 4), F(1, 3)), Interval(F(5, 2), F(11, 4))])
-        outer = normalize_union([Interval(0, 1), Interval(2, 3)])
+        inner = IntervalSet([Interval(F(1, 4), F(1, 3)), Interval(F(5, 2), F(11, 4))])
+        outer = IntervalSet([Interval(0, 1), Interval(2, 3)])
         assert inner.subset_of(outer)
         assert not outer.subset_of(inner)
 
@@ -137,25 +147,25 @@ class TestIntervalQuotient:
 
 class TestAffineImage:
     def test_map_image(self):
-        s = normalize_union([Interval(0, 1)])
-        assert affine_image(s, F(1, 3), F(2, 3)) == normalize_union([iv("2/3", "1")])
+        s = IntervalSet([Interval(0, 1)])
+        assert affine_image(s, F(1, 3), F(2, 3)) == IntervalSet([iv("2/3", "1")])
 
     def test_inverse_scaling(self):
-        s = normalize_union([iv("2/3", "3/2")])
-        assert affine_image(s, 3, 0) == normalize_union([Interval(2, F(9, 2))])
+        s = IntervalSet([iv("2/3", "3/2")])
+        assert affine_image(s, 3, 0) == IntervalSet([Interval(2, F(9, 2))])
 
     def test_reflection(self):
-        s = normalize_union([Interval(0, 1)])
-        assert affine_image(s, -1, 0) == normalize_union([Interval(-1, 0)])
+        s = IntervalSet([Interval(0, 1)])
+        assert affine_image(s, -1, 0) == IntervalSet([Interval(-1, 0)])
 
     def test_zero_ratio_rejected(self):
         with pytest.raises(ZeroRatio):
-            affine_image(normalize_union([Interval(0, 1)]), 0, 1)
+            affine_image(IntervalSet([Interval(0, 1)]), 0, 1)
 
     def test_length_scales_by_abs_ratio(self):
         rng = random.Random(3)
         parts = [Interval(F(k, 9), F(k, 9) + F(rng.randrange(1, 4), 13))
                  for k in range(0, 40, 5)]
-        s = normalize_union(parts)
+        s = IntervalSet(parts)
         for r in (F(3, 2), F(-5, 7), F(4)):
             assert affine_image(s, r, F(1, 3)).total_length == abs(r) * s.total_length

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorvis.errors import ClosureNotFinite, EmptySystem
+from cantorvis.cantor import IfsMap
+from cantorvis.errors import ClosureNotFinite, EmptySystem, OutOfAttractor
 from cantorvis.exact import Interval
 from cantorvis.gds import (Edge, GraphDirectedSystem, Separation, build_gds,
                            gds_dimension, gds_from_dynamics, spectral_radius,
                            univoque_dimension_estimate)
-from cantorvis.slices import build_projection_ifs, prop2_check
+from cantorvis.slices import (build_projection_ifs, coding_count, prop1_check,
+                              prop2_check, survivor_cover)
 
 
 def third_half_system():
@@ -96,6 +98,30 @@ class TestBuild:
         endpoints = [p for _, p in slices.overlap_regions(ifs).endpoints()]
         assert len(endpoints) == 6
         assert calls == endpoints
+
+    @pytest.mark.parametrize("lam, t", [(F(1, 3), F(1, 2)), (F(1, 3), F(25, 38)),
+                                        (F(1, 3), F(2))])
+    def test_attractor_is_mapped_only_at_construction(self, monkeypatch, lam, t):
+        ifs = build_projection_ifs(lam, t)
+        mapped = []
+        real = IfsMap.apply_interval
+
+        def spying(m, iv):
+            if iv == ifs.attractor:
+                mapped.append(m)
+            return real(m, iv)
+
+        monkeypatch.setattr(IfsMap, "apply_interval", spying)
+        gds_from_dynamics(ifs)
+        prop1_check(ifs)
+        coding_count(ifs, ifs.attractor.lo + F(1, 7), 6)
+        survivor_cover(ifs, 3)
+        assert mapped == []
+
+    def test_outside_cut_point_rejected(self):
+        ifs = build_projection_ifs(F(1, 3), F(1, 2))
+        with pytest.raises(OutOfAttractor):
+            build_gds(ifs, (F(0), F(3, 2)))
 
     def test_manual_closure_accepts_extra_cuts(self):
         ifs = build_projection_ifs(F(1, 3), F(1, 2))

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -159,10 +160,11 @@ class TestOrbits:
         ifs = third_half()
         for start in (F(-1, 6), F(0), F(1, 3), F(1, 2)):
             orbit = orbit_search(ifs, start)
-            for point, word in orbit.words.items():
+            assert orbit.word(start) == ()
+            for point in orbit.visited:
                 assert ifs.attractor.contains(point)
                 value = point
-                for label in reversed(word):
+                for label in reversed(orbit.word(point)):
                     value = ifs.map_for(label).apply(value)
                 assert value == start
 
@@ -176,20 +178,66 @@ class TestOrbits:
         ifs = build_projection_ifs(lam, t)
         seeds = [p for _, p in overlap_regions(ifs).endpoints()]
         seeds += [ifs.attractor.lo, F(0), F(1, 7)]
-        words, _, saturated = inverse_closure(ifs, seeds)
+        parents, _, saturated = inverse_closure(ifs, seeds)
         assert saturated
-        assert set(words) == set().union(*(orbit_search(ifs, s).visited for s in seeds))
-        for point, word in words.items():
-            value = point
-            for label in reversed(word):
-                value = ifs.map_for(label).apply(value)
+        assert set(parents) == set().union(*(orbit_search(ifs, s).visited for s in seeds))
+        for point in parents:
+            # each pointer is one inverse branch step, and the chain ends at a seed
+            value, link = point, parents[point]
+            while link is not None:
+                parent, label = link
+                assert ifs.map_for(label).apply(value) == parent
+                value, link = parent, parents[parent]
             assert value in seeds
 
     def test_multi_seed_closure_truncates_at_the_budget(self):
         ifs = build_projection_ifs(F(7, 20), F(1, 2))
-        words, _, saturated = inverse_closure(ifs, (F(0), F(1, 40)), budget=30)
+        parents, _, saturated = inverse_closure(ifs, (F(0), F(1, 40)), budget=30)
         assert not saturated
-        assert len(words) == 30
+        assert len(parents) == 30
+
+
+# (lambda, t, start, budget, witness, closure size, saturated, largest point,
+# its word, longest word), recorded when the closure still stored a word tuple
+# per point, so a change to the breadth-first order or to the word read off
+# the parent pointers shows here. Includes truncated closures with and without
+# a witness and the degenerate t = 1 system.
+ORBIT_TABLE = [
+    ("1/3", "1/2", "-1/6", 10_000, (1,), 3, True, "1/2", (1,), 1),
+    ("1/3", "1/2", "0", 10_000, None, 2, True, "1", (1,), 1),
+    ("1/3", "3/5", "1/15", 10_000, (3,), 6, True, "1", (3, 3, 2), 3),
+    ("1/3", "25/38", "-937/1520", 10_000, (1, 1, 1), 127, True, "1509/1520",
+     (1, 1, 1, 2, 4, 3, 3, 4, 4, 3, 1, 4, 3), 27),
+    ("1/3", "25/38", "-59/760", 10_000, (3, 1, 4), 127, True, "749/760",
+     (3, 1, 4, 1, 4, 4, 1, 4, 2, 2, 4, 2, 4, 2, 2, 3, 1, 2, 4, 3, 3, 3, 2, 3, 3, 2), 37),
+    ("3/10", "2/3", "-5/8", 300, (1, 1, 1, 4, 4, 1, 2), 300, False,
+     "1142566172/1162261467", (1, 1, 1, 4, 4, 1, 2, 3, 4, 4, 2, 1, 4, 1, 3, 4, 4, 1), 25),
+    ("3/10", "2/3", "-5/8", 20, (1, 1, 1, 4, 4, 1, 2), 20, False, "18170/19683",
+     (1, 1, 1, 4, 4, 1, 2, 3), 11),
+    ("3/10", "2/3", "-5/8", 6, None, 6, False, "71/81", (1, 1, 1), 5),
+    ("7/20", "1/2", "1/40", 30, (3, 3), 30, False, "1", (1,), 8),
+    ("2/5", "1/2", "-1/5", 2_000, (1,), 2000, False, "16345/16384",
+     (1, 3, 4, 3, 3, 2, 2, 1, 2, 3, 3, 1, 3), 15),
+    ("1/3", "1", "1/5", 10_000, None, 4, True, "3/5", (2,), 3),
+    ("1/3", "1", "-1/3", 10_000, None, 3, True, "1", (1,), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "lam, t, start, budget, witness, size, saturated, far, far_word, longest",
+    ORBIT_TABLE)
+def test_orbit_table(lam, t, start, budget, witness, size, saturated, far,
+                     far_word, longest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # t = 1 reduces the maps
+        ifs = build_projection_ifs(lam, t)
+    orbit = orbit_search(ifs, start, budget)
+    assert orbit.witness_to_hole == witness
+    assert len(orbit.visited) == size
+    assert orbit.saturated is saturated
+    assert orbit.visited[-1] == F(far)
+    assert orbit.word(F(far)) == far_word
+    assert max(len(orbit.word(p)) for p in orbit.visited) == longest
 
 
 class TestPropChecks:

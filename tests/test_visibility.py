@@ -9,7 +9,7 @@ from cantorvis.cantor import CantorParams, basic_intervals
 from cantorvis.errors import (InsufficientScales, LengthMismatch,
                               NegativeSlope, NonPositiveDenominator,
                               OutOfRange)
-from cantorvis.exact import Interval, IntervalSet, interval_quotient, normalize_union
+from cantorvis.exact import Interval, IntervalSet, interval_quotient
 from cantorvis.visibility import (RegimeTag, Visibility, box_count,
                                   box_dim_estimate, exact_core, key2_check,
                                   key2_scan, key2_subintervals,
@@ -86,7 +86,7 @@ class TestKey2:
         window = Interval(F(4, 5), 1)
         assert key2_check(F(1, 5), window, window) is False
         pieces = key2_subintervals(F(1, 5), window, window)
-        assert len(normalize_union(pieces.parts)) >= 2
+        assert len(IntervalSet(pieces.parts)) >= 2
 
     def test_degenerate_rejected(self):
         pt = Interval(F(2, 3), F(2, 3))
