@@ -23,7 +23,12 @@ from .errors import (CantorVisError, ClosureNotFinite, OutOfRange,
 from .exact import Interval, IntervalSet, format_rational, parse_rational
 from .render import svg_interval_sets
 
-MAX_BUDGET = 10_000_000
+# An orbit closure keeps every node it reaches: its point, a parent pointer
+# and a queue slot, about 240 bytes at lambda = 2/5, t = 1/2. The node
+# ceiling keeps one closure within 256 MiB.
+CLOSURE_MEMORY_BYTES = 256 * 2**20
+NODE_BYTES = 240
+MAX_BUDGET = CLOSURE_MEMORY_BYTES // NODE_BYTES
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NonPositiveDenominator, OutOfRange, ParseError, ZeroRatio
 
@@ -221,6 +221,27 @@ class IntervalSet:
         if cursor < window.hi:
             pieces.append(Interval(cursor, window.hi))
         return IntervalSet(pieces)
+
+
+def _merge_closed(lo_keys: Sequence[int], hi_keys: Sequence[int]) -> list[tuple[int, int]]:
+    """Merge the closed intervals [lo_keys[f], hi_keys[f]] into disjoint parts.
+
+    The integer-lattice kernels (quotient covers, survivor levels) merge here
+    instead of through `IntervalSet`. One sort by lower key and one linear
+    pass; touching intervals merge, as in `IntervalSet`. Each part is
+    returned as (f, g): the index giving its lower end and the index giving
+    its upper end.
+    """
+    merged: list[tuple[int, int]] = []
+    top = None
+    for f in sorted(range(len(lo_keys)), key=lo_keys.__getitem__):
+        if top is None or lo_keys[f] > top:
+            merged.append((f, f))
+            top = hi_keys[f]
+        elif hi_keys[f] > top:
+            merged[-1] = (merged[-1][0], f)
+            top = hi_keys[f]
+    return merged
 
 
 def interval_quotient(dividend: Interval, divisor: Interval) -> Interval:

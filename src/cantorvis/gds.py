@@ -18,12 +18,12 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
-from .errors import ClosureNotFinite, EmptySystem
+from .errors import ClosureNotFinite, EmptySystem, OutOfRange
 from .exact import Interval, RationalLike, format_rational
 from .slices import (Prop1Report, Prop2Report, ProjectionIfs, Verdict,
                      _attractor_point, _endpoint_orbits, _prop1_report,
-                     _prop2_report, inverse_closure, prop1_check, survivor_cover)
-from .visibility import BoxDimEstimate, box_dim_estimate
+                     _prop2_report, _survivor_levels, inverse_closure, prop1_check)
+from .visibility import BoxDimEstimate, _box_count, _box_dim_fit
 
 
 class Separation(Enum):
@@ -299,8 +299,15 @@ def univoque_dimension_estimate(ifs: ProjectionIfs,
 
     Box-counts the depth-n survivor cover at scale lam^n for each requested
     depth and fits the log-log slope; this is the independent cross-check
-    for `gds_dimension`, built from forward interval arithmetic only.
+    for `gds_dimension`, built from forward interval arithmetic only. One
+    pass builds the survivor levels up to the largest depth on integer
+    lattices (`slices._survivor_levels`); each requested level is counted
+    there, where lam^n = p^n/q^n spans d*lam^n lattice units of 1/d.
     """
     depths = sorted(depths)
-    covers = [(ifs.lam ** n, survivor_cover(ifs, n)) for n in depths]
-    return box_dim_estimate(covers)
+    if depths and depths[0] < 0:
+        raise OutOfRange(f"depth must be nonnegative, got {depths[0]}")
+    scales = [ifs.lam ** n for n in depths]
+    counts = (_box_count(survivors, d * s.numerator // s.denominator)
+              for s, (d, survivors) in zip(scales, _survivor_levels(ifs, depths)))
+    return _box_dim_fit(scales, counts)

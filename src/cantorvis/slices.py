@@ -16,15 +16,17 @@ degenerate (single-point) overlaps never count as holes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .cantor import CantorParams, IfsMap, UNIT, refine_to_depth, validated_lambda
+from .cantor import IfsMap, validated_lambda
 from .errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
-from .exact import Interval, IntervalSet, RationalLike, as_rational, format_rational
+from .exact import (Interval, IntervalSet, RationalLike, _merge_closed, as_rational,
+                    format_rational)
 
 
 @dataclass(frozen=True)
@@ -392,44 +394,106 @@ def slice_count_2d(lam: RationalLike, t: RationalLike, a: RationalLike, n: int) 
     of rank-n basic intervals (X, Y) with a in [Y.lo - t*X.hi, Y.hi - t*X.lo],
     pruning subtrees whose projection already misses a. Offsets outside
     [-t, 1] yield 0.
+
+    The cells live on the integer lattice: for lam = p/q, a depth-d basic
+    interval is [x/q^d, (x + p^d)/q^d] for an integer origin x, and its
+    children have the origins q*x and q*x + (q - p)*p^d. With t = r/s and
+    a = u/v the offset test is multiplied through by q^d*s*v.
     """
-    params = CantorParams(lam)
+    lam = validated_lambda(lam)
     t = as_rational(t)
     if t <= 0:
         raise OutOfRange(f"slope must be positive, got {format_rational(t)}")
     if n < 0:
         raise OutOfRange(f"depth must be nonnegative, got {n}")
     a = as_rational(a)
+    p, q = lam.numerator, lam.denominator
+    r, s = t.numerator, t.denominator
+    u, v = a.numerator, a.denominator
 
-    def count(x_iv: Interval, y_iv: Interval, depth: int) -> int:
-        if not (y_iv.lo - t * x_iv.hi <= a <= y_iv.hi - t * x_iv.lo):
+    def count(x: int, y: int, depth: int) -> int:
+        width = p ** depth
+        target = u * s * q ** depth
+        if not v * (s * y - r * (x + width)) <= target <= v * (s * (y + width) - r * x):
             return 0
         if depth == n:
             return 1
+        step = (q - p) * width
         total = 0
-        for x_child in refine_to_depth(params, x_iv, 1):
-            for y_child in refine_to_depth(params, y_iv, 1):
+        for x_child in (q * x, q * x + step):
+            for y_child in (q * y, q * y + step):
                 total += count(x_child, y_child, depth + 1)
         return total
 
-    return count(UNIT, UNIT, 0)
+    return count(0, 0, 0)
+
+
+def _survivor_levels(ifs: ProjectionIfs,
+                     depths: Iterable[int]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """The depth-n survivor covers of `survivor_cover` on integer lattices,
+    for each of the sorted nonnegative `depths`, in one pass.
+
+    With lam = p/q and b the least common denominator of the holes, the map
+    shifts and the attractor, every endpoint of the depth-k removed set is
+    an integer over d = b*q^k. A map x -> lam*x + c sends the lattice point
+    X over b*q^(k-1) to p*X + (b*c)*q^k over d. So each level is one list of
+    integer pairs, one sort and one merge. Yields (d, survivors): the merged
+    parts of the attractor minus the removed set, as integers over d.
+    """
+    p, q = ifs.lam.numerator, ifs.lam.denominator
+    holes = ifs.regions.holes
+    shifts = [ifs.map_for(label).shift for label in ifs.effective]
+    b = math.lcm(ifs.attractor.lo.denominator,
+                 *(x.denominator for h in holes for x in (h.lo, h.hi)),
+                 *(c.denominator for c in shifts))
+    hole_pairs = [(int(h.lo * b), int(h.hi * b)) for h in holes]
+    offsets = [int(c * b) for c in shifts]
+    removed = _merged(hole_pairs)
+    d, level = b, 0
+    for n in depths:
+        while level < n:
+            level += 1
+            d *= q
+            scale = d // b
+            pieces = [(lo * scale, hi * scale) for lo, hi in hole_pairs]
+            for c in offsets:
+                shift = c * scale
+                pieces.extend([(p * lo + shift, p * hi + shift) for lo, hi in removed])
+            removed = _merged(pieces)
+        yield d, _complement(removed, int(ifs.attractor.lo * d), d)
+
+
+def _merged(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The integer pairs [lo, hi] merged into sorted disjoint parts."""
+    los = [lo for lo, _ in pairs]
+    his = [hi for _, hi in pairs]
+    return [(los[f], his[g]) for f, g in _merge_closed(los, his)]
+
+
+def _complement(removed: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Closure of [lo, hi] minus the merged parts `removed`, which lie inside
+    it (the holes do, and every map sends the attractor into itself). A
+    removed single point leaves no cut."""
+    ends = [lo]
+    for a, b in removed:
+        if a < b:
+            ends += (a, b)
+    ends.append(hi)
+    return [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
 
 
 def survivor_cover(ifs: ProjectionIfs, n: int) -> IntervalSet:
     """Closed complement of the depth-n hole preimages inside the attractor.
 
-    The union of all branch images of the hole up to depth n is built
-    recursively with normalization at every level, so the interval count
-    tracks the survivor structure instead of exploding with 4^n words. The
-    complement outer-approximates the unique-coding set and box-counts at
-    scale lam^n track its growth rate.
+    The removed set is the hole together with every branch image of the
+    depth-(n-1) removed set. Levels 0..n are built on integer lattices with
+    one sort and merge each (see `_survivor_levels`), so the part count
+    tracks the survivor structure instead of exploding with 4^n words; only
+    the parts of the result become fractions. The complement
+    outer-approximates the unique-coding set and box-counts at scale lam^n
+    track its growth rate.
     """
     if n < 0:
         raise OutOfRange(f"depth must be nonnegative, got {n}")
-    hole = ifs.regions.hole_set()
-    removed = hole
-    for _ in range(n):
-        mapped = [ifs.map_for(label).apply_interval(part)
-                  for label in ifs.effective for part in removed.parts]
-        removed = IntervalSet((*hole.parts, *mapped))
-    return removed.complement_within(ifs.attractor)
+    ((d, survivors),) = _survivor_levels(ifs, (n,))
+    return IntervalSet([Interval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in survivors])

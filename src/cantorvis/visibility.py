@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from statistics import linear_regression
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cantor import CantorParams, endpoint_rank, ensure_depth, validated_lambda
 from .errors import (InsufficientScales, LengthMismatch, NegativeSlope,
                      NonPositiveDenominator, OutOfRange)
-from .exact import (Interval, IntervalSet, RationalLike, affine_image,
-                    as_rational, format_rational)
+from .exact import (Interval, IntervalSet, RationalLike, _merge_closed,
+                    affine_image, as_rational, format_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +192,6 @@ def _ratio_keys(d: int, nums: Sequence[int], dens: Sequence[int]) -> list[int]:
     return [sx // y for y in dens for sx in scaled]
 
 
-def _merge_closed(lo_keys: Sequence[int], hi_keys: Sequence[int]) -> list[tuple[int, int]]:
-    """Merge the closed intervals [lo_keys[f], hi_keys[f]] into disjoint parts.
-
-    One sort by lower key and one linear pass; touching intervals merge, as
-    in `IntervalSet`. Each part is returned as (f, g): the index giving its
-    lower end and the index giving its upper end.
-    """
-    merged: list[tuple[int, int]] = []
-    top = None
-    for f in sorted(range(len(lo_keys)), key=lo_keys.__getitem__):
-        if top is None or lo_keys[f] > top:
-            merged.append((f, f))
-            top = hi_keys[f]
-        elif hi_keys[f] > top:
-            merged[-1] = (merged[-1][0], f)
-            top = hi_keys[f]
-    return merged
-
-
 def quotient_core_cover(lam: RationalLike, n: int,
                         budget: Optional[int] = None) -> IntervalSet:
     """Certified outer cover of the window quotient at rank n.
@@ -278,6 +259,19 @@ def exact_core(lam: RationalLike) -> Interval:
     return Interval(1 - lam, 1 / (1 - lam))
 
 
+# Reports list every scale |k| <= k_window, and the numerals of lam^k grow
+# with |k|, so a report grows as k_window^2: visible-set at lambda = 7/20
+# prints 24 KB at 64 and 9.8 MB at 1500.
+MAX_K_WINDOW = 64
+
+
+def _check_k_window(k_window: int) -> None:
+    if k_window < 0:
+        raise OutOfRange(f"scale window must be nonnegative, got {k_window}")
+    if k_window > MAX_K_WINDOW:
+        raise OutOfRange(f"scale window must be at most {MAX_K_WINDOW}, got {k_window}")
+
+
 def _core(lam: Fraction, n: int) -> tuple[IntervalSet, bool]:
     """The core window and whether it is exact: `exact_core` for lam >= 1/3,
     the rank-n `quotient_core_cover` below."""
@@ -289,8 +283,7 @@ def _core(lam: Fraction, n: int) -> tuple[IntervalSet, bool]:
 def ratio_set_structure(lam: RationalLike, k_window: int,
                         n: int = 6) -> RatioSetStructure:
     lam = validated_lambda(lam)
-    if k_window < 0:
-        raise OutOfRange(f"scale window must be nonnegative, got {k_window}")
+    _check_k_window(k_window)
     core, exact = _core(lam, n)
     return RatioSetStructure(lam, core, -k_window, k_window, exact)
 
@@ -385,8 +378,7 @@ def visible_query(lam: RationalLike, alpha: RationalLike, n: int = 8,
     otherwise the verdict stays UNKNOWN_AT_DEPTH.
     """
     lam = validated_lambda(lam)
-    if k_window < 0:
-        raise OutOfRange(f"scale window must be nonnegative, got {k_window}")
+    _check_k_window(k_window)
     alpha = as_rational(alpha)
     if alpha < 0:
         raise NegativeSlope(f"slope must be nonnegative, got {format_rational(alpha)}")
@@ -459,8 +451,7 @@ def visible_set(lam: RationalLike, k_window: int, n: int = 6) -> VisibleSet:
     without a merge.
     """
     lam = validated_lambda(lam)
-    if k_window < 0:
-        raise OutOfRange(f"scale window must be nonnegative, got {k_window}")
+    _check_k_window(k_window)
     regime = regime_classify(lam)
     if regime.tag is RegimeTag.REGIME1_V_EMPTY:
         return VisibleSet(lam, k_window, True, regime, ())
@@ -489,18 +480,31 @@ def thickness_condition(lam: RationalLike) -> bool:
 
 def box_count(cover: IntervalSet, scale: RationalLike) -> int:
     """Minimal number of grid-aligned closed boxes of the given width covering
-    the set; boxes are [j*s, (j+1)*s] and the count is exact."""
+    the set; boxes are [j*s, (j+1)*s] and the count is exact.
+
+    The cover and the scale go onto one integer lattice, over the least
+    common denominator of their endpoints, and `_box_count` counts there.
+    """
     s = as_rational(scale)
     if s <= 0:
         raise OutOfRange(f"scale must be positive, got {format_rational(s)}")
+    d = math.lcm(s.denominator, *(x.denominator for p in cover.parts for x in (p.lo, p.hi)))
+    pairs = [(p.lo.numerator * (d // p.lo.denominator),
+              p.hi.numerator * (d // p.hi.denominator)) for p in cover.parts]
+    return _box_count(pairs, s.numerator * (d // s.denominator))
+
+
+def _box_count(pairs: Sequence[tuple[int, int]], width: int) -> int:
+    """`box_count` on a lattice: sorted disjoint parts [lo, hi] and boxes
+    [j*width, (j+1)*width], all in integer lattice units."""
     count = 0
     last: Optional[int] = None
-    for part in cover.parts:
-        start = part.lo if last is None else max(part.lo, (last + 1) * s)
-        if start > part.hi:
+    for lo, hi in pairs:
+        start = lo if last is None else max(lo, (last + 1) * width)
+        if start > hi:
             continue
-        j0 = math.floor(start / s)
-        j1 = max(j0, math.ceil(part.hi / s) - 1)
+        j0 = start // width
+        j1 = max(j0, -(-hi // width) - 1)
         count += j1 - j0 + 1
         last = j1
     return count
@@ -522,13 +526,23 @@ def box_dim_estimate(covers: Sequence[tuple[RationalLike, IntervalSet]]) -> BoxD
     residual is reported so callers can bound the fit quality instead of
     trusting the slope blindly.
     """
-    if len(covers) < 3:
-        raise InsufficientScales(f"need at least 3 scales, got {len(covers)}")
     scales = [as_rational(s) for s, _ in covers]
+    return _box_dim_fit(scales, (box_count(cover, s)
+                                 for s, (_, cover) in zip(scales, covers)))
+
+
+def _box_dim_fit(scales: Sequence[Fraction], counts: Iterable[int]) -> BoxDimEstimate:
+    """Check the scales, then draw the box counts and fit them.
+
+    `counts` is consumed only after the scales pass, so a caller can hand in
+    a lazy sequence of counts that are costly to compute.
+    """
+    if len(scales) < 3:
+        raise InsufficientScales(f"need at least 3 scales, got {len(scales)}")
     for prev, cur in zip(scales, scales[1:]):
         if not cur < prev:
             raise InsufficientScales("scales must be strictly decreasing")
-    counts = [box_count(cover, s) for s, (_, cover) in zip(scales, covers)]
+    counts = list(counts)
     if any(c <= 0 for c in counts):
         raise InsufficientScales("every cover must be nonempty")
     xs = [-math.log(float(s)) for s in scales]

@@ -4,7 +4,7 @@ import shlex
 
 import pytest
 
-from cantorvis.cli import main
+from cantorvis.cli import CLOSURE_MEMORY_BYTES, MAX_BUDGET, NODE_BYTES, main
 
 
 def run(capsys, *argv):
@@ -370,6 +370,30 @@ def test_negative_k_window_is_out_of_range(capsys):
                                "message": "scale window must be nonnegative, got -50"}
 
 
+@pytest.mark.parametrize("command, args", [
+    ("visible", ["--alpha", "17/10"]), ("visible-set", [])])
+def test_k_window_ceiling(capsys, command, args):
+    # visible-set --k-window 1500 used to print a 9.8 MB report
+    code, report = run_json(capsys, command, "--lambda", "7/20", *args, "--k-window", "65")
+    assert code == 1
+    assert report["error"] == {"code": "out-of-range",
+                               "message": "scale window must be at most 64, got 65"}
+    code, report = run_json(capsys, command, "--lambda", "7/20", *args, "--k-window", "64")
+    assert code == 0
+
+
+def test_budget_ceiling_comes_from_a_memory_bound(capsys):
+    assert MAX_BUDGET * NODE_BYTES <= CLOSURE_MEMORY_BYTES
+    base = ["orbits", "--lambda", "1/3", "--slope-t", "1/2", "--point", "0"]
+    # the old ceiling, 10^7 nodes, allowed a closure of about 2.4 GB
+    code, report = run_json(capsys, *base, "--budget", "10000000")
+    assert code == 1
+    assert report["error"] == {
+        "code": "out-of-range",
+        "message": f"budget must lie in [1, {MAX_BUDGET}], got 10000000"}
+    code, report = run_json(capsys, *base, "--budget", str(MAX_BUDGET))
+    assert code == 0
+
 GOLDEN = {
     "quotient-cover --lambda 1/5 --depth 3 --format svg":
         (0, "3112392cf05f2fa253826266e8dfe447fb72d2a6142ba893dc2da986afdf69d9"),
@@ -390,7 +414,7 @@ GOLDEN = {
     "gds-dim --lambda 7/20 --slope-t 1/2 --budget 50":
         (2, "0054b4f6011fff5f0f7845c567bd84b0b514280104b8ad3c4825a5aa794c2389"),
     "orbits --lambda 1/3 --slope-t 1/2 --point 0 --budget 0":
-        (1, "304487ab96e1b5d28a42f5fc344c8f87e92e9890c438f2e3938b67efeaa621d3"),
+        (1, "925f9c99e98dba0145f678af8a6b08f34c812cf86c68cbfcdcadb97146453947"),
     "boxdim --lambda 1/4 --n-min 5 --n-max 5":
         (1, "38c6bcc3991ded4909643d46381672952ae4e9823cfd2d461eff57875f5f001d"),
 }

@@ -232,6 +232,15 @@ class TestVisibleQuery:
         with pytest.raises(OutOfRange, match="scale window must be nonnegative"):
             visible_query(F(1, 3), F(1, 2), k_window=-50)
 
+    def test_window_ceiling(self):
+        # one ceiling for the three callers; a report grows as k_window^2
+        for call in (lambda k: visible_query(F(1, 3), F(1, 2), k_window=k),
+                     lambda k: visible_set(F(7, 20), k),
+                     lambda k: ratio_set_structure(F(1, 5), k, n=3)):
+            with pytest.raises(OutOfRange, match="scale window must be at most 64, got 65"):
+                call(65)
+            call(64)
+
     def test_scale_gap_below_third(self):
         # 17/10 falls between the hull at scale 0 and the hull at scale -1
         ans = visible_query(F(1, 5), F(17, 10), n=3)
