@@ -20,8 +20,8 @@ from .gds import (Edge, GraphDirectedSystem, Separation, SpectralRadius,
 from .slices import (EndpointReport, OrbitClosure, OrbitStatus, OverlapRegion,
                      OverlapRegions, Prop1Report, Prop2Report, ProjectionIfs,
                      Verdict, admissible_branches, build_projection_ifs,
-                     coding_count, orbit_search, overlap_regions, prop1_check,
-                     prop2_check, slice_count_2d, survivor_cover)
+                     coding_count, orbit_search, prop1_check, prop2_check,
+                     slice_count_2d, survivor_cover)
 from .visibility import (BoxDimEstimate, Key2Parts, RatioSetStructure, Regime,
                          RegimeTag, Visibility, VisibilityAnswer, VisibleSet,
                          box_count, box_dim_estimate, exact_core, key2_check,
@@ -49,7 +49,7 @@ __all__ = [
     "thickness_condition", "box_count", "BoxDimEstimate", "box_dim_estimate",
     # slice dynamics
     "ProjectionIfs", "build_projection_ifs", "OverlapRegion", "OverlapRegions",
-    "overlap_regions", "admissible_branches", "OrbitClosure", "OrbitStatus",
+    "admissible_branches", "OrbitClosure", "OrbitStatus",
     "orbit_search", "EndpointReport", "Verdict", "Prop1Report", "Prop2Report",
     "prop1_check", "prop2_check", "coding_count", "slice_count_2d",
     "survivor_cover",

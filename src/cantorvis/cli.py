@@ -23,13 +23,6 @@ from .errors import (CantorVisError, ClosureNotFinite, OutOfRange,
 from .exact import Interval, IntervalSet, format_rational, parse_rational
 from .render import svg_interval_sets
 
-# An orbit closure keeps every node it reaches: its point, a parent pointer
-# and a queue slot, about 240 bytes at lambda = 2/5, t = 1/2. The node
-# ceiling keeps one closure within 256 MiB.
-CLOSURE_MEMORY_BYTES = 256 * 2**20
-NODE_BYTES = 240
-MAX_BUDGET = CLOSURE_MEMORY_BYTES // NODE_BYTES
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
@@ -50,14 +43,6 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n"
 
 
-def _ifs(args) -> slmod.ProjectionIfs:
-    """The projection system of (lambda, t); then the orbit budget, if any."""
-    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
-    if "budget" in args and not 1 <= args.budget <= MAX_BUDGET:
-        raise OutOfRange(f"budget must lie in [1, {MAX_BUDGET}], got {args.budget}")
-    return ifs
-
-
 def _orbit_fields(orbit: slmod.OrbitClosure) -> dict:
     witness = orbit.witness_to_hole
     return {"status": orbit.status.value, "witness": list(witness) if witness else None,
@@ -66,7 +51,7 @@ def _orbit_fields(orbit: slmod.OrbitClosure) -> dict:
 
 def _endpoint_rows(reports) -> list:
     return [{"label": r.label, "point": _q(r.point), **_orbit_fields(r.orbit),
-             "closure_size": len(r.orbit.visited)}
+             "closure_size": len(r.orbit.parents)}
             for r in reports]
 
 
@@ -195,7 +180,7 @@ def _cmd_boxdim(args):
 
 
 def _cmd_project(args):
-    ifs = _ifs(args)
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
     result = {
         "lambda": _q(ifs.lam),
         "slope_t": _q(ifs.slope_t),
@@ -218,9 +203,10 @@ def _cmd_project(args):
 
 
 def _cmd_orbits(args):
-    orbit = slmod.orbit_search(_ifs(args), args.point, budget=args.budget)
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
+    orbit = slmod.orbit_search(ifs, args.point, budget=args.budget)
     result = {"start": _q(orbit.start), **_orbit_fields(orbit),
-              "visited_count": len(orbit.visited),
+              "visited_count": len(orbit.parents),
               "visited": [_q(p) for p in orbit.visited]}
     code = (EXIT_UNKNOWN if orbit.status is slmod.OrbitStatus.BUDGET_EXCEEDED
             else EXIT_OK)
@@ -228,7 +214,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_prop1(args):
-    rep = slmod.prop1_check(_ifs(args), budget=args.budget)
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
+    rep = slmod.prop1_check(ifs, budget=args.budget)
     result = {
         "holds": rep.holds,
         "verdict": rep.verdict.value,
@@ -240,7 +227,8 @@ def _cmd_prop1(args):
 
 
 def _cmd_prop2(args):
-    rep = slmod.prop2_check(_ifs(args), budget=args.budget)
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
+    rep = slmod.prop2_check(ifs, budget=args.budget)
     result = {
         "holds": rep.holds,
         "verdict": rep.verdict.value,
@@ -253,7 +241,8 @@ def _cmd_prop2(args):
 
 
 def _cmd_gds(args):
-    system, p1, p2 = gdsmod.gds_from_dynamics(_ifs(args), budget=args.budget)
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
+    system, p1, p2 = gdsmod.gds_from_dynamics(ifs, budget=args.budget)
     result = system.to_json_dict()
     result["prop1_holds"] = p1.holds
     result["prop2_holds"] = p2.holds
@@ -266,7 +255,8 @@ def _cmd_gds(args):
 
 
 def _cmd_gds_dim(args):
-    system, _, _ = gdsmod.gds_from_dynamics(_ifs(args), budget=args.budget)
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
+    system, _, _ = gdsmod.gds_from_dynamics(ifs, budget=args.budget)
     rho = gdsmod.spectral_radius(system.adjacency).value
     result = {
         "dimension": _approx(gdsmod._dimension(rho, system.lam)),
@@ -278,8 +268,7 @@ def _cmd_gds_dim(args):
 
 
 def _cmd_codings(args):
-    ifs = _ifs(args)
-    ensure_depth(args.depth)
+    ifs = slmod.build_projection_ifs(args.lam, args.slope_t)
     count = slmod.coding_count(ifs, args.point, args.depth)
     result = {"point": _q(args.point), "depth": args.depth,
               "count": count, "unique": count == 1}
@@ -287,7 +276,6 @@ def _cmd_codings(args):
 
 
 def _cmd_slice_count(args):
-    ensure_depth(args.depth)
     count = slmod.slice_count_2d(args.lam, args.slope_t, args.point, args.depth)
     result = {"point": _q(args.point), "depth": args.depth, "count": count}
     return EXIT_OK, result, {}

@@ -20,9 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ClosureNotFinite, EmptySystem, OutOfRange
 from .exact import Interval, RationalLike, format_rational
-from .slices import (Prop1Report, Prop2Report, ProjectionIfs, Verdict,
-                     _attractor_point, _endpoint_orbits, _prop1_report,
-                     _prop2_report, _survivor_levels, inverse_closure, prop1_check)
+from .slices import (Prop1Report, Prop2Report, ProjectionIfs, _attractor_point,
+                     _endpoint_orbits, _survivor_levels, inverse_closure, prop1_check)
 from .visibility import BoxDimEstimate, _box_count, _box_dim_fit
 
 
@@ -141,9 +140,8 @@ def gds_from_dynamics(ifs: ProjectionIfs, budget: int = 10_000,
     budget; the separation flag comes from the hole-return check.
     """
     reports = _endpoint_orbits(ifs, budget)
-    p1 = _prop1_report(reports)
-    p2 = _prop2_report(reports)
-    if p2.verdict is not Verdict.TRUE:
+    p1, p2 = Prop1Report(reports), Prop2Report(reports)
+    if not p2.holds:
         raise ClosureNotFinite(
             f"endpoint orbit closures not certified finite within budget {budget}")
     g = build_gds(ifs, p2.closure_union, strong_separation=p1.holds, budget=budget)

@@ -21,9 +21,10 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .cantor import IfsMap, validated_lambda
+from .cantor import IfsMap, ensure_depth, validated_lambda
 from .errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
 from .exact import (Interval, IntervalSet, RationalLike, _merge_closed, as_rational,
                     format_rational)
@@ -57,9 +58,6 @@ class ProjectionIfs:
 
     def images(self) -> tuple[tuple[int, Interval], ...]:
         return tuple((label, self.map_images[label - 1]) for label in self.effective)
-
-    def sorted_labels(self) -> tuple[int, ...]:
-        return self.order
 
     def labels_at(self, x: Fraction) -> tuple[int, ...]:
         """The effective labels, in label order, whose image contains x."""
@@ -134,7 +132,8 @@ class OverlapRegion:
 @dataclass(frozen=True)
 class OverlapRegions:
     """Intersections of consecutive (left-endpoint sorted) map images; `holes`
-    holds the intervals of the nondegenerate ones."""
+    holds the intervals of the nondegenerate ones. All images have equal
+    length, so these regions make up the full multi-branch region."""
 
     regions: tuple[OverlapRegion, ...]
     holes: tuple[Interval, ...] = field(init=False, repr=False)
@@ -160,16 +159,6 @@ class OverlapRegions:
         return tuple(out)
 
 
-def overlap_regions(ifs: ProjectionIfs) -> OverlapRegions:
-    """Consecutive-pair image intersections, sorted left to right.
-
-    Point overlaps are kept and flagged degenerate. Because all images have
-    equal length, any non-consecutive intersection is contained in the
-    consecutive ones, so this union is the full multi-branch region.
-    """
-    return ifs.regions
-
-
 def admissible_branches(ifs: ProjectionIfs, x: RationalLike) -> tuple[int, ...]:
     """Labels j with x in the j-th image; at least one inside the attractor,
     two or more exactly on the overlap region."""
@@ -192,6 +181,13 @@ class OrbitStatus(Enum):
 
 Parents = dict[Fraction, Optional[tuple[Fraction, int]]]
 
+# An orbit closure keeps every node it reaches: its point, a parent pointer
+# and a queue slot, about 240 bytes at lambda = 2/5, t = 1/2. The node
+# ceiling keeps one closure within 256 MiB.
+CLOSURE_MEMORY_BYTES = 256 * 2**20
+NODE_BYTES = 240
+MAX_BUDGET = CLOSURE_MEMORY_BYTES // NODE_BYTES
+
 
 def _word(parents: Parents, point: Fraction) -> tuple[int, ...]:
     labels: list[int] = []
@@ -205,19 +201,30 @@ def _word(parents: Parents, point: Fraction) -> tuple[int, ...]:
 class OrbitClosure:
     """Breadth-first closure of a point under all admissible inverse branches.
 
-    `parents` holds one parent pointer per point (see `inverse_closure`), and
-    `word(p)` follows them to a shortest branch word sending the start to p.
+    The fields are what the search found. `parents` holds one parent pointer
+    per point (see `inverse_closure`); its keys are the closure, and `word(p)`
+    follows them to a shortest branch word sending the start to p.
     `witness_to_hole` is the first hole-hitting word in breadth-first order;
     `saturated` records whether the closure is complete, which HITS_HOLE
-    alone does not imply.
+    alone does not imply. `status` and the sorted `visited` are read off
+    these fields, the sort only when `visited` is first read.
     """
 
     start: Fraction
-    status: OrbitStatus
-    witness_to_hole: Optional[tuple[int, ...]]
-    visited: tuple[Fraction, ...]
     parents: Parents
+    witness_to_hole: Optional[tuple[int, ...]]
     saturated: bool
+
+    @property
+    def status(self) -> OrbitStatus:
+        if self.witness_to_hole is not None:
+            return OrbitStatus.HITS_HOLE
+        return OrbitStatus.FINITE_CLOSURE if self.saturated else OrbitStatus.BUDGET_EXCEEDED
+
+    @cached_property
+    def visited(self) -> tuple[Fraction, ...]:
+        """The closure's points in increasing order."""
+        return tuple(sorted(self.parents))
 
     def word(self, point: Fraction) -> tuple[int, ...]:
         """A shortest branch word sending the start to `point`; () for the start."""
@@ -238,10 +245,11 @@ def inverse_closure(ifs: ProjectionIfs, seeds: Iterable[Fraction],
     first hole-hitting word in breadth-first order; the seeds themselves never
     count. Exploration continues through hole hits; it stops only at
     saturation or when a new point would grow the closure past `budget`
-    points, which leaves `saturated` False.
+    points, which leaves `saturated` False. The budget must lie in
+    [1, MAX_BUDGET], which bounds the closure's memory.
     """
-    if budget < 1:
-        raise OutOfRange(f"budget must be positive, got {budget}")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise OutOfRange(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
     parents: Parents = dict.fromkeys(seeds)
     queue = list(parents)  # grows while the loop walks it: breadth-first order
     witness: Optional[tuple[int, ...]] = None
@@ -262,16 +270,7 @@ def orbit_search(ifs: ProjectionIfs, x: RationalLike,
                  budget: int = 10_000) -> OrbitClosure:
     """The inverse closure of the single point x (see `inverse_closure`)."""
     x = _attractor_point(ifs, x)
-    parents, witness, saturated = inverse_closure(ifs, (x,), budget)
-    if witness is not None:
-        status = OrbitStatus.HITS_HOLE
-    elif not saturated:
-        status = OrbitStatus.BUDGET_EXCEEDED
-    else:
-        status = OrbitStatus.FINITE_CLOSURE
-    return OrbitClosure(start=x, status=status, witness_to_hole=witness,
-                        visited=tuple(sorted(parents)), parents=parents,
-                        saturated=saturated)
+    return OrbitClosure(x, *inverse_closure(ifs, (x,), budget))
 
 
 class Verdict(Enum):
@@ -297,7 +296,15 @@ class Prop1Report:
     """
 
     endpoints: tuple[EndpointReport, ...]
-    verdict: Verdict
+
+    @property
+    def verdict(self) -> Verdict:
+        statuses = [e.orbit.status for e in self.endpoints]
+        if all(s is OrbitStatus.HITS_HOLE for s in statuses):
+            return Verdict.TRUE
+        if any(s is OrbitStatus.FINITE_CLOSURE for s in statuses):
+            return Verdict.FALSE
+        return Verdict.UNKNOWN
 
     @property
     def holds(self) -> bool:
@@ -312,19 +319,27 @@ class Prop1Report:
 class Prop2Report:
     """Per-endpoint finite-closure check.
 
-    TRUE certifies every endpoint closure finite (saturated within budget)
-    and returns their union, the cut points for the graph construction.
+    TRUE certifies every endpoint closure finite (saturated within budget).
     Budgets cannot certify infiniteness, so the only other verdict is
-    UNKNOWN.
+    UNKNOWN. `closure_union`, the sorted union of the endpoint closures and
+    under TRUE the cut points for the graph construction, is built when it
+    is first read.
     """
 
     endpoints: tuple[EndpointReport, ...]
-    verdict: Verdict
-    closure_union: tuple[Fraction, ...]
+
+    @property
+    def verdict(self) -> Verdict:
+        return (Verdict.TRUE if all(e.orbit.saturated for e in self.endpoints)
+                else Verdict.UNKNOWN)
 
     @property
     def holds(self) -> bool:
         return self.verdict is Verdict.TRUE
+
+    @cached_property
+    def closure_union(self) -> tuple[Fraction, ...]:
+        return tuple(sorted(set().union(*(e.orbit.parents for e in self.endpoints))))
 
 
 def _endpoint_orbits(ifs: ProjectionIfs, budget: int) -> tuple[EndpointReport, ...]:
@@ -332,31 +347,12 @@ def _endpoint_orbits(ifs: ProjectionIfs, budget: int) -> tuple[EndpointReport, .
                  for label, point in ifs.regions.endpoints())
 
 
-def _prop1_report(reports: tuple[EndpointReport, ...]) -> Prop1Report:
-    statuses = [r.orbit.status for r in reports]
-    if all(s is OrbitStatus.HITS_HOLE for s in statuses):
-        verdict = Verdict.TRUE
-    elif any(s is OrbitStatus.FINITE_CLOSURE for s in statuses):
-        verdict = Verdict.FALSE
-    else:
-        verdict = Verdict.UNKNOWN
-    return Prop1Report(reports, verdict)
-
-
-def _prop2_report(reports: tuple[EndpointReport, ...]) -> Prop2Report:
-    union: set[Fraction] = set()
-    for r in reports:
-        union.update(r.orbit.visited)
-    verdict = Verdict.TRUE if all(r.orbit.saturated for r in reports) else Verdict.UNKNOWN
-    return Prop2Report(reports, verdict, tuple(sorted(union)))
-
-
 def prop1_check(ifs: ProjectionIfs, budget: int = 10_000) -> Prop1Report:
-    return _prop1_report(_endpoint_orbits(ifs, budget))
+    return Prop1Report(_endpoint_orbits(ifs, budget))
 
 
 def prop2_check(ifs: ProjectionIfs, budget: int = 10_000) -> Prop2Report:
-    return _prop2_report(_endpoint_orbits(ifs, budget))
+    return Prop2Report(_endpoint_orbits(ifs, budget))
 
 
 def coding_count(ifs: ProjectionIfs, a: RationalLike, n: int) -> int:
@@ -366,6 +362,7 @@ def coding_count(ifs: ProjectionIfs, a: RationalLike, n: int) -> int:
     certificate; counts only reveal multiplicity, never hide it, since a
     second coding shows up as soon as the orbit can branch.
     """
+    ensure_depth(n)
     a = _attractor_point(ifs, a)
     if n < 0:
         raise OutOfRange(f"depth must be nonnegative, got {n}")
@@ -400,6 +397,7 @@ def slice_count_2d(lam: RationalLike, t: RationalLike, a: RationalLike, n: int) 
     children have the origins q*x and q*x + (q - p)*p^d. With t = r/s and
     a = u/v the offset test is multiplied through by q^d*s*v.
     """
+    ensure_depth(n)
     lam = validated_lambda(lam)
     t = as_rational(t)
     if t <= 0:
@@ -429,7 +427,7 @@ def slice_count_2d(lam: RationalLike, t: RationalLike, a: RationalLike, n: int) 
 
 
 def _survivor_levels(ifs: ProjectionIfs,
-                     depths: Iterable[int]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+                     depths: Sequence[int]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """The depth-n survivor covers of `survivor_cover` on integer lattices,
     for each of the sorted nonnegative `depths`, in one pass.
 
@@ -440,6 +438,7 @@ def _survivor_levels(ifs: ProjectionIfs,
     integer pairs, one sort and one merge. Yields (d, survivors): the merged
     parts of the attractor minus the removed set, as integers over d.
     """
+    ensure_depth(max(depths, default=0))
     p, q = ifs.lam.numerator, ifs.lam.denominator
     holes = ifs.regions.holes
     shifts = [ifs.map_for(label).shift for label in ifs.effective]

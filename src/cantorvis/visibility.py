@@ -479,8 +479,16 @@ def thickness_condition(lam: RationalLike) -> bool:
 # ---------------------------------------------------------------------------
 
 def box_count(cover: IntervalSet, scale: RationalLike) -> int:
-    """Minimal number of grid-aligned closed boxes of the given width covering
-    the set; boxes are [j*s, (j+1)*s] and the count is exact.
+    """Number of grid-aligned closed boxes [j*s, (j+1)*s] covering the set,
+    counted part by part from the left; the count is exact.
+
+    A part takes the boxes from the one whose half-open span [j*s, (j+1)*s)
+    holds its first point past the boxes already counted, through the first
+    box whose right edge is at or past the part's right end. That is minimal
+    except when a part lies in the last counted box and ends on its right
+    edge: the part then takes the next box too, so
+    `box_count(IntervalSet([[0, 1/10], [1/2, 1]]), 1)` is 2, not 1 (ROADMAP
+    item 3).
 
     The cover and the scale go onto one integer lattice, over the least
     common denominator of their endpoints, and `_box_count` counts there.

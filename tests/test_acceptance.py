@@ -11,7 +11,7 @@ from cantorvis.exact import Interval, IntervalSet
 from cantorvis.gds import (gds_dimension, gds_from_dynamics,
                            univoque_dimension_estimate)
 from cantorvis.slices import (OrbitStatus, build_projection_ifs, coding_count,
-                              overlap_regions, slice_count_2d)
+                              slice_count_2d)
 from cantorvis.visibility import (RegimeTag, Visibility, box_dim_estimate,
                                   exact_core, key2_check, key2_subintervals,
                                   quotient_core_cover, regime_classify,
@@ -162,7 +162,7 @@ def test_criterion_7_slice_dynamics_end_to_end():
         assert p2.holds is True
         assert len(p2.closure_union) <= 10
 
-        holes = [r.interval for r in overlap_regions(ifs).regions
+        holes = [r.interval for r in ifs.regions.regions
                  if not r.degenerate]
         assert system.edges, "system must be nonempty"
         for e in system.edges:

@@ -4,7 +4,8 @@ import shlex
 
 import pytest
 
-from cantorvis.cli import CLOSURE_MEMORY_BYTES, MAX_BUDGET, NODE_BYTES, main
+from cantorvis.cli import main
+from cantorvis.slices import CLOSURE_MEMORY_BYTES, MAX_BUDGET, NODE_BYTES
 
 
 def run(capsys, *argv):

@@ -46,8 +46,7 @@ class TestBuild:
 
     def test_edge_soundness(self):
         ifs, system, _, _ = third_half_system()
-        from cantorvis.slices import overlap_regions
-        holes = [r.interval for r in overlap_regions(ifs).regions
+        holes = [r.interval for r in ifs.regions.regions
                  if not r.degenerate]
         for e in system.edges:
             img = ifs.map_for(e.label).apply_interval(system.states[e.dst])
@@ -95,9 +94,33 @@ class TestBuild:
         monkeypatch.setattr(slices, "orbit_search", counting)
         ifs = build_projection_ifs(F(1, 3), F(1, 2))
         gds_from_dynamics(ifs)
-        endpoints = [p for _, p in slices.overlap_regions(ifs).endpoints()]
+        endpoints = [p for _, p in ifs.regions.endpoints()]
         assert len(endpoints) == 6
         assert calls == endpoints
+
+    def test_budget_exhausted_closures_are_never_sorted(self, monkeypatch):
+        # a criterion-8 draw whose endpoint orbits fill budget 2000: ordering
+        # those closures is wasted work, since ClosureNotFinite follows
+        from cantorvis import gds, slices
+        exhausted = build_projection_ifs(F(33, 100), F(691, 850))
+        finite = build_projection_ifs(F(1, 3), F(1, 2))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return sorted(*args, **kwargs)
+
+        for module in (slices, gds):
+            monkeypatch.setattr(module, "sorted", spy, raising=False)
+        with pytest.raises(ClosureNotFinite):
+            gds_from_dynamics(exhausted, 2000)
+        assert calls == []
+        rep = prop2_check(finite)
+        assert rep.holds and calls == []
+        assert rep.closure_union == (F(-1, 2), F(-1, 6), F(0), F(1, 6), F(1, 3),
+                                     F(1, 2), F(2, 3), F(1))
+        assert len(calls) == 1  # sorted once, when first read
+        assert rep.closure_union is rep.closure_union and len(calls) == 1
 
     @pytest.mark.parametrize("lam, t", [(F(1, 3), F(1, 2)), (F(1, 3), F(25, 38)),
                                         (F(1, 3), F(2))])

@@ -1,14 +1,20 @@
 import random
 import warnings
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cantorvis.errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
+from cantorvis.errors import (DepthBudgetExceeded, NotIntervalAttractor, OutOfAttractor,
+                              OutOfRange)
 from cantorvis.exact import Interval, IntervalSet
-from cantorvis.slices import (OrbitStatus, Verdict, admissible_branches,
+from cantorvis.gds import univoque_dimension_estimate
+from cantorvis.slices import (MAX_BUDGET, OrbitClosure, OrbitStatus, Prop1Report,
+                              Prop2Report, Verdict, admissible_branches,
                               build_projection_ifs, coding_count,
-                              inverse_closure, orbit_search, overlap_regions, prop1_check,
+                              inverse_closure, orbit_search, prop1_check,
                               prop2_check, slice_count_2d, survivor_cover)
 
 
@@ -24,7 +30,7 @@ class TestBuild:
         assert ifs.image(3) == Interval(F(-1, 6), F(1, 3))
         assert ifs.image(2) == Interval(F(1, 6), F(2, 3))
         assert ifs.image(4) == Interval(F(1, 2), 1)
-        assert ifs.sorted_labels() == (1, 3, 2, 4)
+        assert ifs.order == (1, 3, 2, 4)
         assert not ifs.degenerate
 
     def test_image_union_is_attractor(self):
@@ -33,14 +39,14 @@ class TestBuild:
 
     def test_printed_overlaps_steep(self):
         ifs = build_projection_ifs(F(3, 10), F(3, 2))
-        regs = overlap_regions(ifs)
+        regs = ifs.regions
         assert [r.interval for r in regs.regions] == [
             Interval(F(-4, 5), F(-3, 4)),
             Interval(F(-9, 20), F(-1, 20)),
             Interval(F(1, 4), F(3, 10)),
         ]
         # for t >= 1 the images sort in label order
-        assert ifs.sorted_labels() == (1, 2, 3, 4)
+        assert ifs.order == (1, 2, 3, 4)
 
     def test_not_interval_attractor(self):
         with pytest.raises(NotIntervalAttractor):
@@ -51,7 +57,7 @@ class TestBuild:
             ifs = build_projection_ifs(F(1, 3), 1)
         assert ifs.degenerate
         assert ifs.effective == (1, 2, 4)  # g3 coincides with g2
-        assert len(overlap_regions(ifs).regions) == 2
+        assert len(ifs.regions.regions) == 2
 
     def test_param_validation(self):
         with pytest.raises(OutOfRange):
@@ -83,7 +89,7 @@ class TestBuild:
 
 class TestOverlaps:
     def test_three_regions_third_half(self):
-        regs = overlap_regions(third_half())
+        regs = third_half().regions
         assert [r.interval for r in regs.regions] == [
             Interval(F(-1, 6), 0),
             Interval(F(1, 6), F(1, 3)),
@@ -93,7 +99,7 @@ class TestOverlaps:
             (1, 3), (3, 2), (2, 4)]
 
     def test_half_open_hit_semantics(self):
-        regs = overlap_regions(third_half())
+        regs = third_half().regions
         assert regs.hits(F(-1, 6))
         assert regs.hits(F(1, 2))
         assert not regs.hits(0)          # right endpoints stay safe
@@ -103,7 +109,7 @@ class TestOverlaps:
     def test_degenerate_point_overlaps_never_hit(self):
         # lam = 1/4, t = 1/2 tiles the attractor with touching images
         ifs = build_projection_ifs(F(1, 4), F(1, 2))
-        regs = overlap_regions(ifs)
+        regs = ifs.regions
         assert all(r.degenerate for r in regs.regions)
         assert regs.hole_set().is_empty
         for r in regs.regions:
@@ -119,7 +125,7 @@ class TestBranches:
 
     def test_multiplicity_matches_overlaps(self):
         ifs = third_half()
-        regs = overlap_regions(ifs)
+        regs = ifs.regions
         rng = random.Random(23)
         for _ in range(200):
             x = F(-1, 2) + F(3, 2) * F(rng.randrange(0, 301), 300)
@@ -176,7 +182,7 @@ class TestOrbits:
                                         (F(1, 3), F(3)), (F(1, 4), F(2))])
     def test_multi_seed_closure_is_union_of_single_seeds(self, lam, t):
         ifs = build_projection_ifs(lam, t)
-        seeds = [p for _, p in overlap_regions(ifs).endpoints()]
+        seeds = [p for _, p in ifs.regions.endpoints()]
         seeds += [ifs.attractor.lo, F(0), F(1, 7)]
         parents, _, saturated = inverse_closure(ifs, seeds)
         assert saturated
@@ -238,6 +244,75 @@ def test_orbit_table(lam, t, start, budget, witness, size, saturated, far,
     assert orbit.visited[-1] == F(far)
     assert orbit.word(F(far)) == far_word
     assert max(len(orbit.word(p)) for p in orbit.visited) == longest
+
+
+def test_reports_store_only_what_the_search_found():
+    assert [f.name for f in fields(OrbitClosure)] == [
+        "start", "parents", "witness_to_hole", "saturated"]
+    assert [f.name for f in fields(Prop1Report)] == ["endpoints"]
+    assert [f.name for f in fields(Prop2Report)] == ["endpoints"]
+
+
+@st.composite
+def budget_pairs(draw):
+    """lambda = p/q in (1/4, 1/2), t in one of the two interval bands on a
+    1/64 grid (t = 1 excluded), and budgets b1 < b2 <= 400."""
+    q = draw(st.integers(5, 40))
+    p = draw(st.integers(q // 4 + 1, (q - 1) // 2))
+    lam = F(p, q)
+    low, high = 1 - 2 * lam, lam / (1 - 2 * lam)
+    if draw(st.booleans()):
+        lo_b, hi_b = low, min(high, F(1))
+    else:
+        lo_b, hi_b = max(low / lam, F(1)), 1 / (1 - 2 * lam)
+    t = lo_b + (hi_b - lo_b) * F(draw(st.integers(0, 64)), 64)
+    assume(t != 1)  # coincident maps
+    b2 = draw(st.integers(2, 400))
+    return lam, t, draw(st.integers(1, b2 - 1)), b2
+
+
+@settings(max_examples=40, deadline=None)
+@given(budget_pairs())
+def test_verdicts_are_monotone_in_budget(case):
+    lam, t, b1, b2 = case
+    ifs = build_projection_ifs(lam, t)
+    small, large = (prop1_check(ifs, b).endpoints for b in (b1, b2))
+    for lo, hi in zip(small, large):
+        if lo.orbit.status is not OrbitStatus.BUDGET_EXCEEDED:
+            assert hi.orbit.status is lo.orbit.status, lo.label
+            assert hi.orbit.witness_to_hole == lo.orbit.witness_to_hole, lo.label
+    for report in (Prop1Report, Prop2Report):
+        verdict = report(small).verdict
+        if verdict is not Verdict.UNKNOWN:
+            assert report(large).verdict is verdict, report.__name__
+
+
+class TestCeilings:
+    @pytest.mark.parametrize("budget", [0, MAX_BUDGET + 1, 10**8])
+    def test_budget_ceiling(self, budget):
+        # 10^8 nodes of a non-closing orbit would take about 24 GB
+        ifs = build_projection_ifs(F(2, 5), F(1, 2))
+        message = rf"budget must lie in \[1, {MAX_BUDGET}\], got {budget}$"
+        for search in (lambda: orbit_search(ifs, F(-1, 5), budget),
+                       lambda: inverse_closure(ifs, (F(0),), budget),
+                       lambda: prop2_check(ifs, budget)):
+            with pytest.raises(OutOfRange, match=message):
+                search()
+
+    def test_depth_ceiling_comes_before_enumeration(self, monkeypatch):
+        ifs = build_projection_ifs(F(9, 20), F(1, 2))
+        with pytest.raises(DepthBudgetExceeded, match="at depth 40 exceeds"):
+            coding_count(ifs, F(1, 5), 40)
+        monkeypatch.setenv("CANTOR_VIS_MAX_DEPTH", "5")
+        message = (r"enumeration at depth 6 exceeds the depth budget 5 "
+                   r"\(override with CANTOR_VIS_MAX_DEPTH\)$")
+        for enumerate_ in (lambda: coding_count(ifs, F(1, 5), 6),
+                           lambda: slice_count_2d(F(9, 20), F(1, 2), F(1, 5), 6),
+                           lambda: survivor_cover(ifs, 6),
+                           lambda: univoque_dimension_estimate(ifs, (2, 6, 3))):
+            with pytest.raises(DepthBudgetExceeded, match=message):
+                enumerate_()
+        assert coding_count(ifs, F(1, 5), 5) == slice_count_2d(F(9, 20), F(1, 2), F(1, 5), 5)
 
 
 class TestPropChecks:
