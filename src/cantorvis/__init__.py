@@ -9,7 +9,7 @@ with box-counting dimension estimates, and the projection slice dynamics
 
 from . import errors
 from .cantor import (CantorParams, Coding, IfsMap, Membership,
-                     MembershipResult, basic_intervals, depth_budget,
+                     MembershipResult, basic_intervals,
                      endpoint_rank, membership, refine_tilde, window_gn)
 from .exact import (Interval, IntervalSet, Rational, affine_image,
                     as_rational, format_rational, interval_quotient,
@@ -40,7 +40,7 @@ __all__ = [
     # cantor system
     "CantorParams", "IfsMap", "Coding", "basic_intervals", "refine_tilde",
     "window_gn", "membership", "Membership", "MembershipResult",
-    "endpoint_rank", "depth_budget",
+    "endpoint_rank",
     # visibility
     "Regime", "RegimeTag", "regime_classify", "Key2Parts", "key2_subintervals",
     "key2_check", "key2_scan", "window_pieces", "quotient_core_cover",

@@ -2,49 +2,45 @@
 
 For 0 < lam < 1/2 the attractor of {x -> lam*x, x -> lam*x + 1 - lam} is a
 Cantor set whose rank-n pieces are the 2^n map compositions applied to
-[0, 1]. Depth budgets keep the exponential enumeration explicit: operations
-fail loudly instead of silently materializing 2^n intervals.
+[0, 1]. Every enumeration in the package states its depth and its item
+count to `ensure_work`, which refuses it before the work instead of
+silently materializing 2^n intervals.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Union
 
-from .errors import DepthBudgetExceeded, NotBasicEndpoints, OutOfRange, ParseError
+from .errors import DepthBudgetExceeded, NotBasicEndpoints, OutOfRange
 from .exact import Interval, IntervalSet, RationalLike, as_rational, format_rational
-
-DEPTH_ENV_VAR = "CANTOR_VIS_MAX_DEPTH"
-DEFAULT_DEPTH_BUDGET = 24
 
 UNIT = Interval(0, 1)
 
-
-def depth_budget() -> int:
-    """Hard depth ceiling; the environment variable overrides the default."""
-    raw = os.environ.get(DEPTH_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DEPTH_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{DEPTH_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ParseError(f"{DEPTH_ENV_VAR} must be nonnegative, got {raw!r}")
-    return value
+# An orbit closure keeps every node it reaches: its point, a parent pointer
+# and a queue slot, about 240 bytes at lambda = 2/5, t = 1/2. The node
+# ceiling keeps one closure within 256 MiB; it is also the item ceiling.
+CLOSURE_MEMORY_BYTES = 256 * 2**20
+NODE_BYTES = 240
+MAX_BUDGET = CLOSURE_MEMORY_BYTES // NODE_BYTES
+MAX_DEPTH = 24
 
 
-def ensure_depth(n: int, budget: Optional[int] = None, what: str = "enumeration") -> None:
-    hint = ""
-    if budget is None:
-        budget = depth_budget()
-        hint = f" (override with {DEPTH_ENV_VAR})"
-    if n > budget:
+def ensure_work(what: str, n: int, items: Union[int, Callable[[], int]] = 1) -> None:
+    """Refuse an enumeration of depth n outside [0, MAX_DEPTH] or of more than
+    MAX_BUDGET items. A callable `items` is called only once the depth has
+    passed, so that counting 4^(n-1) items is never itself unbounded work."""
+    if n < 0:
+        raise OutOfRange(f"depth must be nonnegative, got {n}")
+    if n > MAX_DEPTH:
         raise DepthBudgetExceeded(
-            f"{what} at depth {n} exceeds the depth budget {budget}{hint}")
+            f"{what} at depth {n} exceeds the depth ceiling {MAX_DEPTH}")
+    count = items() if callable(items) else items
+    if count > MAX_BUDGET:
+        raise DepthBudgetExceeded(
+            f"{what} at depth {n} exceeds the item ceiling {MAX_BUDGET} ({count} items)")
 
 
 def validated_lambda(lam: RationalLike) -> Fraction:
@@ -141,16 +137,13 @@ def refine_to_depth(params: CantorParams, iv: Interval, depth: int) -> list[Inte
     return parts
 
 
-def basic_intervals(params: CantorParams, n: int,
-                    budget: Optional[int] = None) -> IntervalSet:
+def basic_intervals(params: CantorParams, n: int) -> IntervalSet:
     """Exact union of all 2^n rank-n basic intervals.
 
     For lam < 1/2 the pieces are pairwise disjoint, so the result has
     exactly 2^n parts and total length (2*lam)^n.
     """
-    if n < 0:
-        raise OutOfRange(f"depth must be nonnegative, got {n}")
-    ensure_depth(n, budget, what=f"basic-interval enumeration (2^{n} parts)")
+    ensure_work("basic-interval enumeration", n, lambda: 2 ** n)
     return IntervalSet(refine_to_depth(params, UNIT, n))
 
 
@@ -190,8 +183,7 @@ def endpoint_rank(params: CantorParams, x: RationalLike,
     return None if res is None else res[0]
 
 
-def window_gn(params: CantorParams, a: RationalLike, b: RationalLike, n: int,
-              budget: Optional[int] = None) -> IntervalSet:
+def window_gn(params: CantorParams, a: RationalLike, b: RationalLike, n: int) -> IntervalSet:
     """Union of the rank-n basic intervals contained in [a, b].
 
     The bounds are validated by exact inverse iteration: `a` must be a left
@@ -203,7 +195,7 @@ def window_gn(params: CantorParams, a: RationalLike, b: RationalLike, n: int,
     if not lo < hi:
         raise OutOfRange(f"window must satisfy A < B, got "
                          f"{format_rational(lo)} >= {format_rational(hi)}")
-    ensure_depth(n, budget, what=f"window enumeration (rank {n})")
+    ensure_work("window enumeration", n, lambda: 2 ** n)
     res_a = _peel_to_corner(params, lo, n)
     if res_a is None or res_a[1] != 0:
         raise NotBasicEndpoints(

@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import gds as gdsmod
 from . import slices as slmod
 from . import visibility as vismod
-from .cantor import CantorParams, basic_intervals, ensure_depth
+from .cantor import CantorParams, basic_intervals
 from .errors import (CantorVisError, ClosureNotFinite, OutOfRange,
                      OutputNotWritable, ParseError)
 from .exact import Interval, IntervalSet, format_rational, parse_rational
@@ -71,7 +72,6 @@ def _cmd_classify(args):
 
 
 def _cmd_visible(args):
-    ensure_depth(args.depth)
     ans = vismod.visible_query(args.lam, args.alpha, n=args.depth,
                                k_window=args.k_window)
     result = {"answer": ans.status.value, "reason": ans.reason}
@@ -88,7 +88,6 @@ def _cmd_visible(args):
 
 
 def _cmd_visible_set(args):
-    ensure_depth(args.depth)
     vs = vismod.visible_set(args.lam, args.k_window, n=args.depth)
     result = {
         "regime": vs.regime.tag.value,
@@ -158,14 +157,12 @@ def _cmd_boxdim(args):
     lam = args.lam
     if args.n_min >= args.n_max:
         raise OutOfRange(f"--n-min must be below --n-max, got {args.n_min}, {args.n_max}")
-    ensure_depth(args.n_max)
     depths = range(args.n_min, args.n_max + 1)
-    if args.family == "basic":
-        params = CantorParams(lam)
-        covers = [(lam ** n, basic_intervals(params, n)) for n in depths]
-    else:
-        covers = [(lam ** n, vismod.quotient_core_cover(lam, n)) for n in depths]
-    est = vismod.box_dim_estimate(covers)
+    build = (partial(basic_intervals, CantorParams(lam)) if args.family == "basic"
+             else partial(vismod.quotient_core_cover, lam))
+    # deepest first, so the ceilings refuse before any cover is built
+    covers = [build(n) for n in reversed(depths)][::-1]
+    est = vismod.box_dim_estimate([(lam ** n, c) for n, c in zip(depths, covers)])
     points = [{"n": n, "scale": _q(s), "count": c}
               for n, s, c in zip(depths, est.scales, est.counts)]
     result = {

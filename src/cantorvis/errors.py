@@ -33,7 +33,7 @@ class ZeroRatio(CantorVisError):
 
 
 class DepthBudgetExceeded(CantorVisError):
-    """An enumeration would materialize more rank-n pieces than the budget allows."""
+    """An enumeration would pass the depth ceiling or the item ceiling."""
 
     code = "depth-budget-exceeded"
 

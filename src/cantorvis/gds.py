@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
-from .errors import ClosureNotFinite, EmptySystem, OutOfRange
+from .errors import ClosureNotFinite, EmptySystem
 from .exact import Interval, RationalLike, format_rational
 from .slices import (Prop1Report, Prop2Report, ProjectionIfs, _attractor_point,
                      _endpoint_orbits, _survivor_levels, inverse_closure, prop1_check)
@@ -303,9 +303,8 @@ def univoque_dimension_estimate(ifs: ProjectionIfs,
     there, where lam^n = p^n/q^n spans d*lam^n lattice units of 1/d.
     """
     depths = sorted(depths)
-    if depths and depths[0] < 0:
-        raise OutOfRange(f"depth must be nonnegative, got {depths[0]}")
+    levels = _survivor_levels(ifs, depths)
     scales = [ifs.lam ** n for n in depths]
     counts = (_box_count(survivors, d * s.numerator // s.denominator)
-              for s, (d, survivors) in zip(scales, _survivor_levels(ifs, depths)))
+              for s, (d, survivors) in zip(scales, levels))
     return _box_dim_fit(scales, counts)

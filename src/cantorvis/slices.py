@@ -24,7 +24,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cantor import IfsMap, ensure_depth, validated_lambda
+# the budget ceiling and the memory bound it comes from live in `cantor`
+from .cantor import (CLOSURE_MEMORY_BYTES, MAX_BUDGET, NODE_BYTES, IfsMap, ensure_work,
+                     validated_lambda)
 from .errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
 from .exact import (Interval, IntervalSet, RationalLike, _merge_closed, as_rational,
                     format_rational)
@@ -68,6 +70,14 @@ class ProjectionIfs:
         return self.map_for(label).invert(x)
 
 
+def validated_slope(t: RationalLike) -> Fraction:
+    """t as a Fraction, checked to be positive."""
+    t = as_rational(t)
+    if t <= 0:
+        raise OutOfRange(f"slope must be positive, got {format_rational(t)}")
+    return t
+
+
 def build_projection_ifs(lam: RationalLike, t: RationalLike) -> ProjectionIfs:
     """Construct the projection system and certify the interval assumption.
 
@@ -77,9 +87,7 @@ def build_projection_ifs(lam: RationalLike, t: RationalLike) -> ProjectionIfs:
     pairwise intersections.
     """
     lam = validated_lambda(lam)
-    t = as_rational(t)
-    if t <= 0:
-        raise OutOfRange(f"slope must be positive, got {format_rational(t)}")
+    t = validated_slope(t)
     shifts = (-(1 - lam) * t, (1 - lam) * (1 - t), Fraction(0), 1 - lam)
     maps = tuple(IfsMap(lam, s) for s in shifts)
     attractor = Interval(-t, 1)
@@ -180,14 +188,6 @@ class OrbitStatus(Enum):
 
 
 Parents = dict[Fraction, Optional[tuple[Fraction, int]]]
-
-# An orbit closure keeps every node it reaches: its point, a parent pointer
-# and a queue slot, about 240 bytes at lambda = 2/5, t = 1/2. The node
-# ceiling keeps one closure within 256 MiB.
-CLOSURE_MEMORY_BYTES = 256 * 2**20
-NODE_BYTES = 240
-MAX_BUDGET = CLOSURE_MEMORY_BYTES // NODE_BYTES
-
 
 def _word(parents: Parents, point: Fraction) -> tuple[int, ...]:
     labels: list[int] = []
@@ -361,27 +361,24 @@ def coding_count(ifs: ProjectionIfs, a: RationalLike, n: int) -> int:
     A count of 1 at every tested depth is the finite-depth unique-coding
     certificate; counts only reveal multiplicity, never hide it, since a
     second coding shows up as soon as the orbit can branch.
+
+    Each level maps the points k inverse steps reach to their word counts;
+    the points of the levels expanded so far are the enumeration's items.
     """
-    ensure_depth(n)
     a = _attractor_point(ifs, a)
-    if n < 0:
-        raise OutOfRange(f"depth must be nonnegative, got {n}")
-    memo: dict[tuple[Fraction, int], int] = {}
-
-    def count(x: Fraction, depth: int) -> int:
-        if depth == 0:
-            return 1
-        key = (x, depth)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for label in ifs.labels_at(x):
-            total += count(ifs.inverse(label, x), depth - 1)
-        memo[key] = total
-        return total
-
-    return count(a, n)
+    ensure_work("coding enumeration", n)
+    level = {a: 1}
+    items = 0
+    for _ in range(n):
+        items += len(level)
+        ensure_work("coding enumeration", n, items)
+        nxt: dict[Fraction, int] = {}
+        for x, words in level.items():
+            for label in ifs.labels_at(x):
+                z = ifs.inverse(label, x)
+                nxt[z] = nxt.get(z, 0) + words
+        level = nxt
+    return sum(level.values())
 
 
 def slice_count_2d(lam: RationalLike, t: RationalLike, a: RationalLike, n: int) -> int:
@@ -389,41 +386,37 @@ def slice_count_2d(lam: RationalLike, t: RationalLike, a: RationalLike, n: int) 
 
     Brute-force upper-bound oracle for the slice multiplicity: counts pairs
     of rank-n basic intervals (X, Y) with a in [Y.lo - t*X.hi, Y.hi - t*X.lo],
-    pruning subtrees whose projection already misses a. Offsets outside
-    [-t, 1] yield 0.
+    refining only the cells whose projection still contains a. Offsets
+    outside [-t, 1] yield 0.
 
     The cells live on the integer lattice: for lam = p/q, a depth-d basic
     interval is [x/q^d, (x + p^d)/q^d] for an integer origin x, and its
     children have the origins q*x and q*x + (q - p)*p^d. With t = r/s and
-    a = u/v the offset test is multiplied through by q^d*s*v.
+    a = u/v the offset test is multiplied through by q^d*s*v. The cells
+    built over all levels are the enumeration's items.
     """
-    ensure_depth(n)
     lam = validated_lambda(lam)
-    t = as_rational(t)
-    if t <= 0:
-        raise OutOfRange(f"slope must be positive, got {format_rational(t)}")
-    if n < 0:
-        raise OutOfRange(f"depth must be nonnegative, got {n}")
+    t = validated_slope(t)
     a = as_rational(a)
+    ensure_work("slice-cell enumeration", n)
     p, q = lam.numerator, lam.denominator
     r, s = t.numerator, t.denominator
     u, v = a.numerator, a.denominator
-
-    def count(x: int, y: int, depth: int) -> int:
+    cells = [(0, 0)]
+    items = 1
+    for depth in range(n + 1):
         width = p ** depth
         target = u * s * q ** depth
-        if not v * (s * y - r * (x + width)) <= target <= v * (s * (y + width) - r * x):
-            return 0
+        cells = [(x, y) for x, y in cells
+                 if v * (s * y - r * (x + width)) <= target <= v * (s * (y + width) - r * x)]
         if depth == n:
-            return 1
+            break
+        items += 4 * len(cells)
+        ensure_work("slice-cell enumeration", n, items)
         step = (q - p) * width
-        total = 0
-        for x_child in (q * x, q * x + step):
-            for y_child in (q * y, q * y + step):
-                total += count(x_child, y_child, depth + 1)
-        return total
-
-    return count(0, 0, 0)
+        cells = [(xc, yc) for x, y in cells
+                 for xc in (q * x, q * x + step) for yc in (q * y, q * y + step)]
+    return len(cells)
 
 
 def _survivor_levels(ifs: ProjectionIfs,
@@ -437,8 +430,15 @@ def _survivor_levels(ifs: ProjectionIfs,
     X over b*q^(k-1) to p*X + (b*c)*q^k over d. So each level is one list of
     integer pairs, one sort and one merge. Yields (d, survivors): the merged
     parts of the attractor minus the removed set, as integers over d.
+    The depths are checked on the call, the pieces of each level as it is built.
     """
-    ensure_depth(max(depths, default=0))
+    for n in depths:
+        ensure_work("survivor levels", n)
+    return _levels(ifs, depths)
+
+
+def _levels(ifs: ProjectionIfs,
+            depths: Sequence[int]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     p, q = ifs.lam.numerator, ifs.lam.denominator
     holes = ifs.regions.holes
     shifts = [ifs.map_for(label).shift for label in ifs.effective]
@@ -448,11 +448,13 @@ def _survivor_levels(ifs: ProjectionIfs,
     hole_pairs = [(int(h.lo * b), int(h.hi * b)) for h in holes]
     offsets = [int(c * b) for c in shifts]
     removed = _merged(hole_pairs)
-    d, level = b, 0
+    d, level, items = b, 0, 0
     for n in depths:
         while level < n:
             level += 1
             d *= q
+            items += len(hole_pairs) + len(offsets) * len(removed)
+            ensure_work("survivor levels", n, items)
             scale = d // b
             pieces = [(lo * scale, hi * scale) for lo, hi in hole_pairs]
             for c in offsets:
@@ -492,7 +494,5 @@ def survivor_cover(ifs: ProjectionIfs, n: int) -> IntervalSet:
     outer-approximates the unique-coding set and box-counts at scale lam^n
     track its growth rate.
     """
-    if n < 0:
-        raise OutOfRange(f"depth must be nonnegative, got {n}")
     ((d, survivors),) = _survivor_levels(ifs, (n,))
     return IntervalSet([Interval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in survivors])

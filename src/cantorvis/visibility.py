@@ -18,7 +18,7 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import Iterable, Optional, Sequence
 
-from .cantor import CantorParams, endpoint_rank, ensure_depth, validated_lambda
+from .cantor import CantorParams, endpoint_rank, ensure_work, validated_lambda
 from .errors import (InsufficientScales, LengthMismatch, NegativeSlope,
                      NonPositiveDenominator, OutOfRange)
 from .exact import (Interval, IntervalSet, RationalLike, _merge_closed,
@@ -155,6 +155,7 @@ def window_pieces(lam: RationalLike, n: int) -> list[Interval]:
     lam = validated_lambda(lam)
     if n < 1:
         raise OutOfRange(f"rank must be >= 1, got {n}")
+    ensure_work("window pieces", n, lambda: 2 ** (n - 1))
     d, lows, w = _window_lattice(lam, n)
     return [Interval(Fraction(lo, d), Fraction(lo + w, d)) for lo in lows]
 
@@ -164,9 +165,12 @@ def key2_scan(lam: RationalLike, n_max: int) -> Optional[tuple[int, Interval, In
     window [1-lam, 1], scanning ranks 1..n_max; None when every pair passes.
 
     Scanning stops at the first failing rank instead of continuing, since
-    deeper ranks inherit nothing once the union identity breaks.
+    deeper ranks inherit nothing once the union identity breaks. The pairs
+    of the deepest rank are checked against the ceilings before any scan.
     """
     lam = validated_lambda(lam)
+    if n_max >= 1:  # 2^(n-1) pieces make (4^(n-1) + 2^(n-1))/2 unordered pairs
+        ensure_work("key2 scan", n_max, lambda: (4 ** (n_max - 1) + 2 ** (n_max - 1)) // 2)
     for n in range(1, n_max + 1):
         pieces = window_pieces(lam, n)
         for x in range(len(pieces)):
@@ -192,8 +196,7 @@ def _ratio_keys(d: int, nums: Sequence[int], dens: Sequence[int]) -> list[int]:
     return [sx // y for y in dens for sx in scaled]
 
 
-def quotient_core_cover(lam: RationalLike, n: int,
-                        budget: Optional[int] = None) -> IntervalSet:
+def quotient_core_cover(lam: RationalLike, n: int) -> IntervalSet:
     """Certified outer cover of the window quotient at rank n.
 
     Quotients all ordered pairs of rank-n basic intervals inside [1-lam, 1]
@@ -214,7 +217,7 @@ def quotient_core_cover(lam: RationalLike, n: int,
     lam = validated_lambda(lam)
     if n < 1:
         raise OutOfRange(f"depth must be >= 1, got {n}")
-    ensure_depth(n, budget, what=f"pair quotients (4^{n - 1} pairs)")
+    ensure_work("pair quotients", n, lambda: 4 ** (n - 1))
     d, lows, w = _window_lattice(lam, n)
     highs = [lo + w for lo in lows]
     size = len(lows)
@@ -274,8 +277,9 @@ def _check_k_window(k_window: int) -> None:
 
 def _core(lam: Fraction, n: int) -> tuple[IntervalSet, bool]:
     """The core window and whether it is exact: `exact_core` for lam >= 1/3,
-    the rank-n `quotient_core_cover` below."""
+    the rank-n `quotient_core_cover` below. Either path checks the depth n."""
     if lam >= Fraction(1, 3):
+        ensure_work("exact core", n)
         return IntervalSet([exact_core(lam)]), True
     return quotient_core_cover(lam, n), False
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,10 +217,10 @@ class TestDiscipline:
         for lo, hi in report["result"]["parts"]:
             assert isinstance(lo, str) and isinstance(hi, str)
 
-    def test_depth_ceiling_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CANTOR_VIS_MAX_DEPTH", "3")
+    def test_depth_ceiling_env(self, capsys):
+        # 4^11 pair quotients exceed the item ceiling
         code, report = run_json(capsys, "quotient-cover", "--lambda", "1/5",
-                                "--depth", "5")
+                                "--depth", "12")
         assert code == 1
         assert report["error"]["code"] == "depth-budget-exceeded"
 
@@ -381,6 +385,22 @@ def test_k_window_ceiling(capsys, command, args):
                                "message": "scale window must be at most 64, got 65"}
     code, report = run_json(capsys, command, "--lambda", "7/20", *args, "--k-window", "64")
     assert code == 0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("command", [
+    "visible --lambda 2/5 --alpha 1 --depth 30",
+    "quotient-cover --lambda 1/5 --depth 14",
+    "boxdim --lambda 1/3 --family basic --n-min 2 --n-max 21"])
+def test_ceilings_refuse_before_enumeration(command):
+    # a fresh interpreter, killed (TimeoutExpired) if it has not exited within 2 s
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "cantorvis.cli", *shlex.split(command)],
+                          env=env, capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["code"] == "depth-budget-exceeded"
 
 
 def test_budget_ceiling_comes_from_a_memory_bound(capsys):

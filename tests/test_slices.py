@@ -1,12 +1,14 @@
 import random
+import time
 import warnings
 from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantorvis import cantor
 from cantorvis.errors import (DepthBudgetExceeded, NotIntervalAttractor, OutOfAttractor,
                               OutOfRange)
 from cantorvis.exact import Interval, IntervalSet
@@ -16,6 +18,7 @@ from cantorvis.slices import (MAX_BUDGET, OrbitClosure, OrbitStatus, Prop1Report
                               build_projection_ifs, coding_count,
                               inverse_closure, orbit_search, prop1_check,
                               prop2_check, slice_count_2d, survivor_cover)
+from draws import interval_systems
 
 
 def third_half():
@@ -255,18 +258,8 @@ def test_reports_store_only_what_the_search_found():
 
 @st.composite
 def budget_pairs(draw):
-    """lambda = p/q in (1/4, 1/2), t in one of the two interval bands on a
-    1/64 grid (t = 1 excluded), and budgets b1 < b2 <= 400."""
-    q = draw(st.integers(5, 40))
-    p = draw(st.integers(q // 4 + 1, (q - 1) // 2))
-    lam = F(p, q)
-    low, high = 1 - 2 * lam, lam / (1 - 2 * lam)
-    if draw(st.booleans()):
-        lo_b, hi_b = low, min(high, F(1))
-    else:
-        lo_b, hi_b = max(low / lam, F(1)), 1 / (1 - 2 * lam)
-    t = lo_b + (hi_b - lo_b) * F(draw(st.integers(0, 64)), 64)
-    assume(t != 1)  # coincident maps
+    """An interval system (`draws.interval_systems`) and budgets b1 < b2 <= 400."""
+    lam, t = draw(interval_systems())
     b2 = draw(st.integers(2, 400))
     return lam, t, draw(st.integers(1, b2 - 1)), b2
 
@@ -303,16 +296,22 @@ class TestCeilings:
         ifs = build_projection_ifs(F(9, 20), F(1, 2))
         with pytest.raises(DepthBudgetExceeded, match="at depth 40 exceeds"):
             coding_count(ifs, F(1, 5), 40)
-        monkeypatch.setenv("CANTOR_VIS_MAX_DEPTH", "5")
-        message = (r"enumeration at depth 6 exceeds the depth budget 5 "
-                   r"\(override with CANTOR_VIS_MAX_DEPTH\)$")
-        for enumerate_ in (lambda: coding_count(ifs, F(1, 5), 6),
-                           lambda: slice_count_2d(F(9, 20), F(1, 2), F(1, 5), 6),
-                           lambda: survivor_cover(ifs, 6),
-                           lambda: univoque_dimension_estimate(ifs, (2, 6, 3))):
+        monkeypatch.setattr(cantor, "MAX_BUDGET", 50)
+        message = r"at depth 12 exceeds the item ceiling 50 \(\d+ items\)$"
+        for enumerate_ in (lambda: coding_count(ifs, F(1, 5), 12),
+                           lambda: slice_count_2d(F(9, 20), F(1, 2), F(1, 5), 12),
+                           lambda: survivor_cover(ifs, 12),
+                           lambda: univoque_dimension_estimate(ifs, (2, 12, 3))):
+            start = time.perf_counter()
             with pytest.raises(DepthBudgetExceeded, match=message):
                 enumerate_()
-        assert coding_count(ifs, F(1, 5), 5) == slice_count_2d(F(9, 20), F(1, 2), F(1, 5), 5)
+            assert time.perf_counter() - start < 0.5
+        assert coding_count(ifs, F(1, 5), 3) == slice_count_2d(F(9, 20), F(1, 2), F(1, 5), 3)
+
+    def test_deepest_admitted_depth(self):
+        a = F(-1, 6)
+        assert coding_count(third_half(), a, 24) == 25
+        assert slice_count_2d(F(1, 3), F(1, 2), a, 24) == 25
 
 
 class TestPropChecks:

@@ -13,7 +13,7 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorvis.cantor import CantorParams, UNIT, basic_intervals, refine_to_depth
@@ -23,6 +23,7 @@ from cantorvis.gds import univoque_dimension_estimate
 from cantorvis.slices import (_merged, build_projection_ifs, coding_count,
                               slice_count_2d, survivor_cover)
 from cantorvis.visibility import box_count, box_dim_estimate, quotient_core_cover
+from draws import interval_systems
 
 MAX_DEPTH = 8
 
@@ -194,18 +195,9 @@ def test_slice_count_matches_product_cell_oracle(lam, t):
 
 @st.composite
 def interval_regime_queries(draw):
-    """lambda = p/q in (1/4, 1/2), t in one of the two interval bands on a
-    1/64 grid (t = 1 excluded), a on a grid of [-t, 1], and n <= 6."""
-    q = draw(st.integers(5, 40))
-    p = draw(st.integers(q // 4 + 1, (q - 1) // 2))
-    lam = F(p, q)
-    low, high = 1 - 2 * lam, lam / (1 - 2 * lam)
-    if draw(st.booleans()):
-        lo_b, hi_b = low, min(high, F(1))
-    else:
-        lo_b, hi_b = max(low / lam, F(1)), 1 / (1 - 2 * lam)
-    t = lo_b + (hi_b - lo_b) * F(draw(st.integers(0, 64)), 64)
-    assume(t != 1)  # coincident maps: distinct cells share one coding
+    """An interval system (`draws.interval_systems`; t = 1 is excluded there,
+    where distinct cells share one coding), a on a grid of [-t, 1], and n <= 6."""
+    lam, t = draw(interval_systems())
     a = -t + (1 + t) * F(draw(st.integers(0, 48)), 48)
     return lam, t, a, draw(st.integers(0, 6))
 

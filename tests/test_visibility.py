@@ -1,12 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantorvis.cantor import CantorParams, basic_intervals
-from cantorvis.errors import (InsufficientScales, LengthMismatch,
+from cantorvis.cantor import CantorParams, Membership, basic_intervals, membership
+from cantorvis.errors import (DepthBudgetExceeded, InsufficientScales, LengthMismatch,
                               NegativeSlope, NonPositiveDenominator,
                               OutOfRange)
 from cantorvis.exact import Interval, IntervalSet, interval_quotient
@@ -381,3 +384,76 @@ class TestBoxDim:
             box_dim_estimate([(F(1, 2), s), (F(1, 4), s)])
         with pytest.raises(InsufficientScales):
             box_dim_estimate([(F(1, 2), s), (F(1, 2), s), (F(1, 8), s)])
+
+
+class TestCeilings:
+    # each of these would run without bound if the ceilings missed it:
+    # 2^39 window pieces, 2^39 pieces scanned pairwise, 4^(10^9 - 1) pairs
+    @pytest.mark.parametrize("enumerate_", [
+        lambda: window_pieces(F(1, 3), 40),
+        lambda: key2_scan(F(1, 3), 40),
+        lambda: quotient_core_cover(F(1, 5), 10**9)])
+    def test_refused_before_enumeration(self, enumerate_):
+        start = time.perf_counter()
+        with pytest.raises(DepthBudgetExceeded, match="exceeds the depth ceiling 24$"):
+            enumerate_()
+        assert time.perf_counter() - start < 0.5
+
+    def test_item_ceiling(self):
+        # 4^10 pair quotients are admitted at n = 11, 4^11 are not
+        with pytest.raises(DepthBudgetExceeded,
+                           match=r"^pair quotients at depth 12 exceeds the item ceiling "
+                                 r"1118481 \(4194304 items\)$"):
+            quotient_core_cover(F(1, 5), 12)
+        with pytest.raises(DepthBudgetExceeded, match="at depth 22 exceeds the item"):
+            window_pieces(F(1, 3), 22)
+
+    def test_exact_core_checks_the_depth(self):
+        with pytest.raises(DepthBudgetExceeded, match="at depth 30 exceeds"):
+            visible_query(F(2, 5), 1, n=30)
+        with pytest.raises(OutOfRange, match="^depth must be nonnegative, got -1$"):
+            visible_query(F(2, 5), 1, n=-1)
+        assert visible_query(F(2, 5), 1, n=24).status is Visibility.NOT_VISIBLE
+
+
+# perfbench's query slopes (`workloads.alphas`): a gap, endpoint ratios at
+# scales 0 and 1, the diagonal, and two slopes near 1
+def bench_alphas(lam):
+    return (F(17, 10), 1 - lam, lam * (1 - lam), F(1), F(101, 97), F(9, 8))
+
+
+LOW_LAMBDAS = sorted({F(p, q) for q in range(5, 41) for p in range(1, q)
+                      if F(1, 5) <= F(p, q) < F(1, 3)})
+
+
+@st.composite
+def depth_queries(draw):
+    """lambda = p/q in [1/5, 1/3) with q <= 40, a bench slope or a drawn
+    rational alpha in [1/2, 2], and depths 1 <= n1 < n2 <= 7."""
+    lam = draw(st.sampled_from(LOW_LAMBDAS))
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from(bench_alphas(lam)))
+    else:  # mostly inside the core's hull [1 - lam, 1/(1 - lam)]
+        den = draw(st.integers(50, 200))
+        alpha = F(draw(st.integers(den // 2, 2 * den)), den)
+    n2 = draw(st.integers(2, 7))
+    return lam, alpha, draw(st.integers(1, n2 - 1)), n2
+
+
+@settings(max_examples=100, deadline=None)
+@given(depth_queries())
+def test_verdicts_are_monotone_in_depth(query):
+    lam, alpha, n1, n2 = query
+    params = CantorParams(lam)
+    shallow, deep = (visible_query(lam, alpha, n=n) for n in (n1, n2))
+    if shallow.status is Visibility.VISIBLE:
+        assert deep.status is Visibility.VISIBLE
+        assert deep.gap.lo <= shallow.gap.lo and shallow.gap.hi <= deep.gap.hi
+    if shallow.status is Visibility.NOT_VISIBLE:
+        assert deep.status is Visibility.NOT_VISIBLE
+    for ans in (shallow, deep):
+        if ans.status is Visibility.NOT_VISIBLE:
+            x, y = ans.witness
+            assert x / y == alpha
+            for point in (x, y):
+                assert membership(params, point, 96).status is Membership.IN
