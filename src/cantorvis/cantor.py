@@ -2,17 +2,19 @@
 
 For 0 < lam < 1/2 the attractor of {x -> lam*x, x -> lam*x + 1 - lam} is a
 Cantor set whose rank-n pieces are the 2^n map compositions applied to
-[0, 1]. Every enumeration in the package states its depth and its item
-count to `ensure_work`, which refuses it before the work instead of
+[0, 1]; every rank-n enumeration of them in the package runs on their
+integer lattice, `_lattice`. Every enumeration states its depth and its
+item count to `ensure_work`, which refuses it before the work instead of
 silently materializing 2^n intervals.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import DepthBudgetExceeded, NotBasicEndpoints, OutOfRange
 from .exact import Interval, IntervalSet, RationalLike, as_rational, format_rational
@@ -127,7 +129,8 @@ def _children(params: CantorParams, iv: Interval) -> tuple[Interval, Interval]:
 
 
 def refine_to_depth(params: CantorParams, iv: Interval, depth: int) -> list[Interval]:
-    """The 2^depth descendants of `iv` after `depth` refinement rounds, in order."""
+    """The 2^depth descendants of `iv` after `depth` refinement rounds, in
+    order: the `Fraction` reference that tests hold `_lattice` to."""
     parts = [iv]
     for _ in range(depth):
         nxt: list[Interval] = []
@@ -137,6 +140,36 @@ def refine_to_depth(params: CantorParams, iv: Interval, depth: int) -> list[Inte
     return parts
 
 
+def _lattice(lam: Fraction, n: int) -> tuple[list[int], list[int]]:
+    """The integer lattice (widths, shifts) of the rank-n basic intervals.
+
+    With lam = p/q and D = q^n, a rank-k basic interval is [L/D, (L + w_k)/D]
+    with w_k = widths[k] = p^k * q^(n-k); its children start at L and at
+    L + shifts[k], shifts[k] = w_k - w_(k+1), which exceeds the sum of all
+    later shifts since lam < 1/2."""
+    p, q = lam.numerator, lam.denominator
+    widths = [p ** k * q ** (n - k) for k in range(n + 1)]
+    return widths, [w - child for w, child in zip(widths, widths[1:])]
+
+
+def _lattice_lows(shifts: Sequence[int], low: int = 0) -> list[int]:
+    """The lows of the descendants of the interval starting at `low` after one
+    refinement round per shift, in increasing order."""
+    lows = [low]
+    for shift in shifts:
+        lows = [x for lo in lows for x in (lo, lo + shift)]
+    return lows
+
+
+def _is_lattice_low(shifts: Sequence[int], x: Fraction) -> bool:
+    """Whether x is the low of a rank-n basic interval; greedy is exact, as
+    each shift exceeds the sum of all later ones."""
+    for shift in shifts:
+        if x >= shift:
+            x -= shift
+    return x == 0
+
+
 def basic_intervals(params: CantorParams, n: int) -> IntervalSet:
     """Exact union of all 2^n rank-n basic intervals.
 
@@ -144,7 +177,7 @@ def basic_intervals(params: CantorParams, n: int) -> IntervalSet:
     exactly 2^n parts and total length (2*lam)^n.
     """
     ensure_work("basic-interval enumeration", n, lambda: 2 ** n)
-    return IntervalSet(refine_to_depth(params, UNIT, n))
+    return window_gn(params, 0, 1, n)
 
 
 def refine_tilde(params: CantorParams, iv: Interval) -> IntervalSet:
@@ -152,42 +185,19 @@ def refine_tilde(params: CantorParams, iv: Interval) -> IntervalSet:
     return IntervalSet(_children(params, iv))
 
 
-def _peel_to_corner(params: CantorParams, x: Fraction,
-                    max_rank: int) -> Optional[tuple[int, int]]:
-    """Greedy inverse iteration; returns (rank, corner) when x reaches 0 or 1.
-
-    A point is an endpoint of a rank-k basic interval exactly when k inverse
-    branch steps send it to a corner of [0, 1]. The branch is unique because
-    the two rank-1 pieces are disjoint for lam < 1/2.
-    """
-    lam = params.lam
-    y = x
-    for k in range(max_rank + 1):
-        if y == 0:
-            return k, 0
-        if y == 1:
-            return k, 1
-        if 0 < y <= lam:
-            y = y / lam
-        elif 1 - lam <= y < 1:
-            y = (y - (1 - lam)) / lam
-        else:
-            return None
-    return None
-
-
 def endpoint_rank(params: CantorParams, x: RationalLike,
                   max_rank: int) -> Optional[int]:
-    """Smallest k <= max_rank such that x is an endpoint of a rank-k basic interval."""
-    res = _peel_to_corner(params, as_rational(x), max_rank)
-    return None if res is None else res[0]
+    """Smallest k <= max_rank such that x is an endpoint of a rank-k basic
+    interval: the step at which the inverse walk of `membership` reaches 0 or 1."""
+    return membership(params, x, max_rank).rank
 
 
 def window_gn(params: CantorParams, a: RationalLike, b: RationalLike, n: int) -> IntervalSet:
     """Union of the rank-n basic intervals contained in [a, b].
 
-    The bounds are validated by exact inverse iteration: `a` must be a left
-    endpoint and `b` a right endpoint of basic intervals of rank <= n.
+    The bounds are validated on the lattice before any enumeration: `a` must
+    be a left endpoint and `b` a right endpoint of basic intervals of rank
+    <= n, that is, `a` and `b` minus the rank-n width must be rank-n lows.
     Successive windows nest: every rank-(n+1) part lies inside a rank-n part.
     """
     lo = as_rational(a)
@@ -196,30 +206,18 @@ def window_gn(params: CantorParams, a: RationalLike, b: RationalLike, n: int) ->
         raise OutOfRange(f"window must satisfy A < B, got "
                          f"{format_rational(lo)} >= {format_rational(hi)}")
     ensure_work("window enumeration", n, lambda: 2 ** n)
-    res_a = _peel_to_corner(params, lo, n)
-    if res_a is None or res_a[1] != 0:
+    widths, shifts = _lattice(params.lam, n)
+    d, w = widths[0], widths[n]
+    if not _is_lattice_low(shifts, lo * d):
         raise NotBasicEndpoints(
             f"{format_rational(lo)} is not a left endpoint of any rank <= {n} basic interval")
-    res_b = _peel_to_corner(params, hi, n)
-    if res_b is None or res_b[1] != 1:
+    if not _is_lattice_low(shifts, hi * d - w):
         raise NotBasicEndpoints(
             f"{format_rational(hi)} is not a right endpoint of any rank <= {n} basic interval")
-    window = Interval(lo, hi)
-    out: list[Interval] = []
-
-    def descend(piece: Interval, depth: int) -> None:
-        if not piece.intersects(window):
-            return
-        if depth == n:
-            if window.contains_interval(piece):
-                out.append(piece)
-            return
-        left, right = _children(params, piece)
-        descend(left, depth + 1)
-        descend(right, depth + 1)
-
-    descend(UNIT, 0)
-    return IntervalSet(out)
+    lows = _lattice_lows(shifts)
+    lows = lows[bisect_left(lows, lo * d):bisect_right(lows, hi * d - w)]
+    return IntervalSet._from_merged(
+        [Interval(Fraction(x, d), Fraction(x + w, d)) for x in lows])
 
 
 class Membership(Enum):

@@ -89,9 +89,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def intersection(self, other: "Interval") -> Optional["Interval"]:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -133,6 +130,15 @@ class IntervalSet:
                 merged.append(iv)
         self.parts: tuple[Interval, ...] = tuple(merged)
         self._los = [iv.lo for iv in self.parts]
+
+    @classmethod
+    def _from_merged(cls, parts: Sequence[Interval]) -> "IntervalSet":
+        """The set of `parts`, unchecked: they must be sorted with prev.hi <
+        next.lo, as the lattice kernels build them."""
+        self = cls.__new__(cls)
+        self.parts = tuple(parts)
+        self._los = [iv.lo for iv in self.parts]
+        return self
 
     @property
     def is_empty(self) -> bool:
@@ -226,11 +232,11 @@ class IntervalSet:
 def _merge_closed(lo_keys: Sequence[int], hi_keys: Sequence[int]) -> list[tuple[int, int]]:
     """Merge the closed intervals [lo_keys[f], hi_keys[f]] into disjoint parts.
 
-    The integer-lattice kernels (quotient covers, survivor levels) merge here
-    instead of through `IntervalSet`. One sort by lower key and one linear
-    pass; touching intervals merge, as in `IntervalSet`. Each part is
-    returned as (f, g): the index giving its lower end and the index giving
-    its upper end.
+    The quotient covers over the lattice of `cantor._lattice` and the survivor
+    levels merge here and build `IntervalSet._from_merged`. One sort by lower
+    key and one linear pass; touching intervals merge, as in `IntervalSet`.
+    Each part is returned as (f, g): the index giving its lower end and the
+    index giving its upper end.
     """
     merged: list[tuple[int, int]] = []
     top = None

@@ -25,8 +25,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 # the budget ceiling and the memory bound it comes from live in `cantor`
-from .cantor import (CLOSURE_MEMORY_BYTES, MAX_BUDGET, NODE_BYTES, IfsMap, ensure_work,
-                     validated_lambda)
+from .cantor import (CLOSURE_MEMORY_BYTES, MAX_BUDGET, NODE_BYTES, IfsMap, _lattice,
+                     ensure_work, validated_lambda)
 from .errors import NotIntervalAttractor, OutOfAttractor, OutOfRange
 from .exact import (Interval, IntervalSet, RationalLike, _merge_closed, as_rational,
                     format_rational)
@@ -389,33 +389,33 @@ def slice_count_2d(lam: RationalLike, t: RationalLike, a: RationalLike, n: int) 
     refining only the cells whose projection still contains a. Offsets
     outside [-t, 1] yield 0.
 
-    The cells live on the integer lattice: for lam = p/q, a depth-d basic
-    interval is [x/q^d, (x + p^d)/q^d] for an integer origin x, and its
-    children have the origins q*x and q*x + (q - p)*p^d. With t = r/s and
-    a = u/v the offset test is multiplied through by q^d*s*v. The cells
-    built over all levels are the enumeration's items.
+    The cells live on the rank-n lattice of `cantor._lattice`: for lam = p/q
+    and D = q^n, a depth-k basic interval is [x/D, (x + w_k)/D] for an
+    integer origin x, and its children have the origins x and x + shift_k.
+    With t = r/s and a = u/v the offset test is multiplied through by D*s*v.
+    The cells built over all levels are the enumeration's items.
     """
     lam = validated_lambda(lam)
     t = validated_slope(t)
     a = as_rational(a)
     ensure_work("slice-cell enumeration", n)
-    p, q = lam.numerator, lam.denominator
+    widths, shifts = _lattice(lam, n)
     r, s = t.numerator, t.denominator
     u, v = a.numerator, a.denominator
+    target = u * s * widths[0]
     cells = [(0, 0)]
     items = 1
     for depth in range(n + 1):
-        width = p ** depth
-        target = u * s * q ** depth
+        width = widths[depth]
         cells = [(x, y) for x, y in cells
                  if v * (s * y - r * (x + width)) <= target <= v * (s * (y + width) - r * x)]
         if depth == n:
             break
         items += 4 * len(cells)
         ensure_work("slice-cell enumeration", n, items)
-        step = (q - p) * width
+        step = shifts[depth]
         cells = [(xc, yc) for x, y in cells
-                 for xc in (q * x, q * x + step) for yc in (q * y, q * y + step)]
+                 for xc in (x, x + step) for yc in (y, y + step)]
     return len(cells)
 
 
@@ -495,4 +495,5 @@ def survivor_cover(ifs: ProjectionIfs, n: int) -> IntervalSet:
     track its growth rate.
     """
     ((d, survivors),) = _survivor_levels(ifs, (n,))
-    return IntervalSet([Interval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in survivors])
+    return IntervalSet._from_merged(
+        [Interval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in survivors])

@@ -18,7 +18,8 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import Iterable, Optional, Sequence
 
-from .cantor import CantorParams, endpoint_rank, ensure_work, validated_lambda
+from .cantor import (CantorParams, _lattice, _lattice_lows, endpoint_rank, ensure_work,
+                     validated_lambda)
 from .errors import (InsufficientScales, LengthMismatch, NegativeSlope,
                      NonPositiveDenominator, OutOfRange)
 from .exact import (Interval, IntervalSet, RationalLike, _merge_closed,
@@ -132,22 +133,10 @@ def key2_check(lam: RationalLike, i: Interval, j: Interval) -> bool:
 
 
 def _window_lattice(lam: Fraction, n: int) -> tuple[int, list[int], int]:
-    """Rank-n window pieces on the integer lattice of denominator D = q^n.
-
-    With lam = p/q, every rank-n piece inside [1-lam, 1] is [L/D, (L+w)/D]
-    for an integer L and the common width w = p^n, so refinement is integer
-    arithmetic. Returns (D, lows, w) with lows in increasing order, the
-    left-to-right order of `window_pieces`.
-    """
-    p, q = lam.numerator, lam.denominator
-    lows = [(q - p) * q ** (n - 1)]
-    width = p * q ** (n - 1)
-    for _ in range(n - 1):
-        child = width * p // q  # exact: width is p^k * q^(n-k) with k < n
-        shift = width - child
-        lows = [x for lo in lows for x in (lo, lo + shift)]
-        width = child
-    return q ** n, lows, width
+    """(D, lows, w): the rank-n pieces [L/D, (L + w)/D] inside [1-lam, 1],
+    the right half of the lattice of `cantor._lattice`, lows in increasing order."""
+    widths, shifts = _lattice(lam, n)
+    return widths[0], _lattice_lows(shifts[1:], shifts[0]), widths[n]
 
 
 def window_pieces(lam: RationalLike, n: int) -> list[Interval]:
@@ -227,7 +216,7 @@ def quotient_core_cover(lam: RationalLike, n: int) -> IntervalSet:
         lo = Fraction(lows[i], highs[j])
         j, i = divmod(g, size)
         parts.append(Interval(lo, Fraction(highs[i], lows[j])))
-    return IntervalSet(parts)
+    return IntervalSet._from_merged(parts)
 
 
 @dataclass(frozen=True)
@@ -492,7 +481,7 @@ def box_count(cover: IntervalSet, scale: RationalLike) -> int:
     except when a part lies in the last counted box and ends on its right
     edge: the part then takes the next box too, so
     `box_count(IntervalSet([[0, 1/10], [1/2, 1]]), 1)` is 2, not 1 (ROADMAP
-    item 3).
+    item 6).
 
     The cover and the scale go onto one integer lattice, over the least
     common denominator of their endpoints, and `_box_count` counts there.

@@ -5,6 +5,10 @@ from fractions import Fraction as F
 from hypothesis import assume
 from hypothesis import strategies as st
 
+# lambda = p/q in (0, 1/2) with q <= 200, p > 1 included
+lambdas = st.integers(3, 200).flatmap(
+    lambda q: st.integers(1, (q - 1) // 2).map(lambda p: F(p, q)))
+
 
 @st.composite
 def interval_systems(draw):

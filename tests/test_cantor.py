@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantorvis.cantor import (CantorParams, Coding, IfsMap, Membership,
+from cantorvis.cantor import (UNIT, CantorParams, Coding, IfsMap, Membership,
                               basic_intervals, endpoint_rank, membership,
-                              refine_tilde, window_gn)
+                              refine_tilde, refine_to_depth, window_gn)
 from cantorvis.errors import (DepthBudgetExceeded, NotBasicEndpoints,
                               OutOfRange)
 from cantorvis.exact import Interval, IntervalSet
+from draws import lambdas
 
 
 THIRD = CantorParams(F(1, 3))
@@ -135,6 +138,31 @@ class TestEndpointRank:
         for part in basic_intervals(THIRD, 5).parts:
             assert endpoint_rank(THIRD, part.lo, 5) is not None
             assert endpoint_rank(THIRD, part.hi, 5) is not None
+
+    def test_periodic_point_has_no_rank(self):
+        # membership certifies 7/10 by its cycle; the walk never reaches a corner
+        assert membership(THIRD, F(7, 10), 10).cycle_period == 4
+        assert endpoint_rank(THIRD, F(7, 10), 10) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=lambdas, k=st.integers(0, 5))
+    def test_rank_is_the_first_rank_of_each_endpoint(self, lam, k):
+        params = CantorParams(lam)
+        first: dict = {}
+        for j in range(k + 1):
+            for part in refine_to_depth(params, UNIT, j):
+                first.setdefault(part.lo, j)
+                first.setdefault(part.hi, j)
+        cover = basic_intervals(params, k)
+        assert {x for part in cover for x in (part.lo, part.hi)} == set(first)
+        for x, j in first.items():
+            assert endpoint_rank(params, x, k) == j
+        for part in (*cover.parts, *cover.gaps()):
+            assert endpoint_rank(params, (part.lo + part.hi) / 2, k) is None
+        # the fixed point 1/(1 + lam) of f2 o f1 lies in K on a 2-cycle
+        x = 1 / (1 + lam)
+        assert membership(params, x, k + 2).cycle_period == 2
+        assert endpoint_rank(params, x, k + 2) is None
 
 
 class TestMembership:

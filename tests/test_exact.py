@@ -3,10 +3,19 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cantorvis.cantor import CantorParams, Coding, basic_intervals, window_gn
 from cantorvis.errors import NonPositiveDenominator, OutOfRange, ParseError, ZeroRatio
 from cantorvis.exact import (Interval, IntervalSet, affine_image, as_rational,
                              format_rational, interval_quotient, parse_rational)
+from cantorvis.slices import build_projection_ifs, survivor_cover
+from cantorvis.visibility import quotient_core_cover
+from draws import interval_systems, lambdas
+
+
+small_fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 
 
 def iv(lo, hi):
@@ -116,6 +125,38 @@ class TestNormalizeUnion:
         outer = IntervalSet([Interval(0, 1), Interval(2, 3)])
         assert inner.subset_of(outer)
         assert not outer.subset_of(inner)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ends=st.lists(st.tuples(small_fractions, small_fractions), max_size=12),
+           rng=st.randoms(use_true_random=False))
+    def test_normalization_laws(self, ends, rng):
+        intervals = [Interval(min(x, y), max(x, y)) for x, y in ends]
+        once = IntervalSet(intervals)
+        assert all(a.hi < b.lo for a, b in zip(once.parts, once.parts[1:]))
+        assert IntervalSet(once.parts) == once
+        rng.shuffle(intervals)
+        assert IntervalSet(intervals) == once
+
+
+def normalized(s):
+    return (all(a.hi < b.lo for a, b in zip(s.parts, s.parts[1:]))
+            and IntervalSet(s.parts) == s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=lambdas, n=st.integers(0, 6), system=interval_systems(), data=st.data())
+def test_lattice_kernels_build_normalized_sets(lam, n, system, data):
+    """The four kernels skip the normalizing constructor; their parts must
+    already be what it would make of them."""
+    params = CantorParams(lam)
+    words = st.lists(st.integers(1, 2), max_size=n).map(tuple)
+    lo = Coding(data.draw(words)).interval(params).lo
+    hi = Coding(data.draw(words)).interval(params).hi
+    assume(lo < hi)
+    assert normalized(basic_intervals(params, n))
+    assert normalized(window_gn(params, lo, hi, n))
+    assert normalized(quotient_core_cover(lam, max(n, 1)))
+    assert normalized(survivor_cover(build_projection_ifs(*system), n))
 
 
 class TestIntervalQuotient:

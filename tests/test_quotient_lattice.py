@@ -3,7 +3,9 @@
 The oracle is the direct construction: refine the window [1-lam, 1] with
 `refine_to_depth`, take `interval_quotient` of every ordered pair of pieces,
 and normalize with `IntervalSet`. Scaled unions use `affine_image` and a
-re-sorting `IntervalSet`, as the visible-gap computation once did.
+re-sorting `IntervalSet`, as the visible-gap computation once did. The
+other rank-n sets on the same lattice, `basic_intervals` and `window_gn`,
+are held to `refine_to_depth` of [0, 1] in the same tests.
 """
 
 from fractions import Fraction as F
@@ -12,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorvis.cantor import CantorParams, refine_to_depth
+from cantorvis.cantor import (UNIT, CantorParams, Coding, basic_intervals, refine_to_depth,
+                              window_gn)
 from cantorvis.exact import Interval, IntervalSet, affine_image, interval_quotient
 from cantorvis.visibility import (RegimeTag, _merge_closed, _ratio_keys,
                                   exact_core, quotient_core_cover,
                                   regime_classify, visible_set, window_pieces)
+from draws import lambdas
 
 BIG = F(1000000000000000000000000000001, 5000000000000000000000000000007)
 
@@ -32,6 +36,18 @@ def oracle_pieces(lam, n):
 def oracle_cover(lam, n):
     pieces = oracle_pieces(lam, n)
     return IntervalSet([interval_quotient(a, b) for a in pieces for b in pieces])
+
+
+def assert_rank_n_sets_match_oracle(lam, n):
+    """`basic_intervals`, and `window_gn` on the window [f_w(0), f_v(1)] with
+    w = 122 and v = 211 cut to length min(n, 3), against `refine_to_depth`."""
+    params = CantorParams(lam)
+    pieces = refine_to_depth(params, UNIT, n)
+    assert basic_intervals(params, n) == IntervalSet(pieces)
+    w, v = (1, 2, 2)[:min(n, 3)], (2, 1, 1)[:min(n, 3)]
+    window = Interval(Coding(w).interval(params).lo, Coding(v).interval(params).hi)
+    inside = [p for p in pieces if window.contains_interval(p)]
+    assert window_gn(params, window.lo, window.hi, n) == IntervalSet(inside)
 
 
 def oracle_gaps(lam, k_window, n):
@@ -54,12 +70,14 @@ def test_cover_matches_oracle(lam):
     for n in range(1, 8):
         assert window_pieces(lam, n) == oracle_pieces(lam, n)
         assert quotient_core_cover(lam, n) == oracle_cover(lam, n), n
+        assert_rank_n_sets_match_oracle(lam, n)
 
 
 def test_cover_matches_oracle_for_a_31_digit_lambda():
     for n in range(1, 6):
         assert window_pieces(BIG, n) == oracle_pieces(BIG, n)
         assert quotient_core_cover(BIG, n) == oracle_cover(BIG, n), n
+        assert_rank_n_sets_match_oracle(BIG, n)
 
 
 @pytest.mark.parametrize("lam", REGIME_LAMBDAS)
@@ -69,15 +87,12 @@ def test_visible_gaps_match_oracle(lam):
             assert visible_set(lam, k_window, n=n).gaps == oracle_gaps(lam, k_window, n)
 
 
-lambdas = st.integers(3, 200).flatmap(
-    lambda q: st.integers(1, (q - 1) // 2).map(lambda p: F(p, q)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(lam=lambdas, n=st.integers(1, 5))
 def test_random_lambda_cover_matches_oracle(lam, n):
     assert window_pieces(lam, n) == oracle_pieces(lam, n)
     assert quotient_core_cover(lam, n) == oracle_cover(lam, n)
+    assert_rank_n_sets_match_oracle(lam, n)
 
 
 @settings(max_examples=40, deadline=None)
